@@ -12,6 +12,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .config import (
     EvolveCaConfig,
     MetricsConfig,
@@ -33,7 +35,7 @@ from .io import (
 )
 from .metrics import CSV_HEADER, compute_metrics
 from .patterns import evolve_patterns, random_genome, synthesize
-from .rules import load_preset, preset_names, run, step
+from .rules import load_preset, preset_names, step, trajectory
 
 
 class _UsageError(Exception):
@@ -83,17 +85,24 @@ def _write_json(data, path: Path) -> Path:
 
 
 def _frame_run(state, rule, steps, every, backend):
-    """Like rules.run but also collects frames at step 0, every `every`
-    steps, and the final step."""
-    frames = [state.copy()]
+    """Step one grid, recording its mean and max after each step.
+
+    With every > 0 it also keeps frames at step 0, every `every` steps and
+    the final step. A grid retired as dead reads as zeros from then on.
+    """
+    frames = [state] if every else []
+    final, dead = state, np.zeros_like(state)
     means, maxes = [], []
-    for t in range(1, steps + 1):
-        state = step(state, rule, backend)
-        means.append(float(state.mean()))
-        maxes.append(float(state.max()))
-        if t % every == 0 or t == steps:
-            frames.append(state.copy())
-    return state, means, maxes, frames
+    for t, active, work in trajectory(
+        state[None], lambda s: step(s, rule, backend), steps,
+        rule.zero_is_absorbing(),
+    ):
+        final = work[0] if active.size else dead
+        means.append(float(final.mean()))
+        maxes.append(float(final.max()))
+        if every and (t % every == 0 or t == steps):
+            frames.append(final)
+    return final, means, maxes, frames
 
 
 def _cmd_presets(args) -> int:
@@ -124,16 +133,11 @@ def _cmd_simulate(args) -> int:
     else:
         state = rng.random((cfg.side, cfg.side))
 
+    final, means, maxes, frames = _frame_run(
+        state, rule, cfg.steps, cfg.frames_every, cfg.backend
+    )
     if cfg.frames_every > 0 and cfg.steps > 0:
-        final, means, maxes, frames = _frame_run(
-            state, rule, cfg.steps, cfg.frames_every, cfg.backend
-        )
         write_frames(frames, out / "frames")
-    else:
-        result = run(state, rule, cfg.steps, cfg.backend)
-        final = result.final
-        means = [float(v) for v in result.means]
-        maxes = [float(v) for v in result.maxes]
 
     summary = {
         "rule": rule.name,

@@ -11,36 +11,30 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .rules import KernelSpec
+from .rules import KernelSpec, kernel_from_dict
 
 # Kernel used when evolving new rules (the wide three-ring neighborhood).
 DEFAULT_EVO_KERNEL = KernelSpec(radius=18, ring_weights=(0.5, 1.0, 0.667))
 
 
-def _check_keys(data: dict, cls, what: str) -> None:
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    for key in data:
-        if key not in allowed:
-            raise ValueError(f"unknown {what} key {key!r}")
+class _FromDict:
+    """Strict construction from a parsed JSON object; `section` names it in errors."""
 
+    section = ""
 
-def _kernel_from_dict(d: dict) -> KernelSpec:
-    if not isinstance(d, dict):
-        raise ValueError("kernel must be an object")
-    allowed = {"radius", "ring_weights", "core", "core_param"}
-    for key in d:
-        if key not in allowed:
-            raise ValueError(f"unknown kernel key {key!r}")
-    return KernelSpec(
-        radius=int(d["radius"]),
-        ring_weights=tuple(float(b) for b in d["ring_weights"]),
-        core=d.get("core", "lenia_shell"),
-        core_param=float(d.get("core_param", 4.0)),
-    )
+    @classmethod
+    def from_dict(cls, data: dict):
+        allowed = {f.name for f in dataclasses.fields(cls)}
+        for key in data:
+            if key not in allowed:
+                raise ValueError(f"unknown {cls.section} key {key!r}")
+        return cls(**data)
 
 
 @dataclass(frozen=True)
-class SimulateConfig:
+class SimulateConfig(_FromDict):
+    section = "simulate"
+
     side: int = 128
     steps: int = 512
     init: str = "patch"  # "patch" (centered noise) or "uniform" (full noise)
@@ -55,6 +49,8 @@ class SimulateConfig:
             raise ValueError("steps must be nonnegative")
         if self.init not in ("patch", "uniform"):
             raise ValueError(f"unknown init {self.init!r}")
+        if not 0 <= self.patch_side <= self.side:
+            raise ValueError("patch_side must lie in [0, side]")
         if self.frames_every < 0:
             raise ValueError("frames_every must be nonnegative")
 
@@ -62,15 +58,12 @@ class SimulateConfig:
     def effective_patch(self) -> int:
         return self.patch_side if self.patch_side else self.side // 2
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SimulateConfig":
-        _check_keys(data, cls, "simulate")
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class HaltingFitnessConfig:
+class HaltingFitnessConfig(_FromDict):
     """One fitness evaluation: dataset generation plus optional training."""
+
+    section = "fitness"
 
     n_grids: int = 128
     grid_side: int = 64
@@ -96,14 +89,11 @@ class HaltingFitnessConfig:
     def effective_patch(self) -> int:
         return self.patch_side if self.patch_side else self.grid_side // 2
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "HaltingFitnessConfig":
-        _check_keys(data, cls, "fitness")
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class EvolveCaConfig:
+class EvolveCaConfig(_FromDict):
+    section = "evolve-ca"
+
     generations: int = 10
     popsize: int = 0  # 0 = optimizer default (8 for 4 parameters)
     sigma0: float = 0.5
@@ -119,17 +109,18 @@ class EvolveCaConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EvolveCaConfig":
-        _check_keys(data, cls, "evolve-ca")
         kwargs = dict(data)
         if "kernel" in kwargs:
-            kwargs["kernel"] = _kernel_from_dict(kwargs["kernel"])
+            kwargs["kernel"] = kernel_from_dict(kwargs["kernel"])
         if "fitness" in kwargs:
             kwargs["fitness"] = HaltingFitnessConfig.from_dict(kwargs["fitness"])
-        return cls(**kwargs)
+        return super().from_dict(kwargs)
 
 
 @dataclass(frozen=True)
-class PatternEvoConfig:
+class PatternEvoConfig(_FromDict):
+    section = "evolve-pattern"
+
     grid_side: int = 128
     tile_side: int = 0  # 0 = 4 * kernel radius
     steps: int = 256
@@ -158,14 +149,11 @@ class PatternEvoConfig:
     def effective_tile(self, kernel_radius: int) -> int:
         return self.tile_side if self.tile_side else 4 * kernel_radius
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "PatternEvoConfig":
-        _check_keys(data, cls, "evolve-pattern")
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class MetricsConfig:
+class MetricsConfig(_FromDict):
+    section = "metrics"
+
     n_grids: int = 128
     grid_side: int = 128
     patch_side: int = 32
@@ -182,11 +170,6 @@ class MetricsConfig:
             raise ValueError("patch_side must fit the grid")
         if not 0 < self.box_side < self.grid_side:
             raise ValueError("box_side must be strictly inside the grid")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MetricsConfig":
-        _check_keys(data, cls, "metrics")
-        return cls(**data)
 
 
 def load_config_file(path) -> dict:

@@ -3,16 +3,14 @@
 States are float64 arrays of shape (..., H, W); leading axes batch
 independent grids through every operation here. Convolution wraps at the
 edges (torus) and is available as an exact shift-and-add sum or as an
-FFT product, which must agree to tight tolerance.
+FFT product, which must agree to tight tolerance. The FFT path is the
+library's; the shift-and-add sum is the slow reference.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-# Side length at which the spectral path starts winning over shift-and-add.
-AUTO_FFT_MIN_SIDE = 64
 
 BACKENDS = ("auto", "fft", "direct")
 
@@ -86,8 +84,8 @@ def convolve(state: np.ndarray, kernel: Kernel, backend: str = "auto") -> np.nda
     """Neighborhood sums n = K * A with toroidal wrap.
 
     n[i, j] = sum_{u,v} K[u, v] * A[(i + u - R) mod H, (j + v - R) mod W].
-    Batched over leading axes. backend: "fft", "direct", or "auto"
-    (direct below AUTO_FFT_MIN_SIDE).
+    Batched over leading axes. backend: "fft" (also spelled "auto") or
+    "direct", the shift-and-add reference.
     """
     state = np.asarray(state, dtype=np.float64)
     if state.ndim < 2:
@@ -95,9 +93,7 @@ def convolve(state: np.ndarray, kernel: Kernel, backend: str = "auto") -> np.nda
     _check_fits(kernel, state.shape)
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-    if backend == "auto":
-        backend = "fft" if min(state.shape[-2:]) >= AUTO_FFT_MIN_SIDE else "direct"
-    if backend == "fft":
+    if backend != "direct":
         shape = state.shape[-2:]
         spec = np.fft.rfft2(state, axes=(-2, -1)) * kernel.spectrum(shape)
         return np.fft.irfft2(spec, s=shape, axes=(-2, -1))

@@ -42,8 +42,11 @@ class HaltingDataset:
     rule: RuleParams
 
     def __post_init__(self):
-        for arr in (self.grids, self.labels):
-            arr.setflags(write=False)
+        # Read-only views: the caller's own arrays stay writeable.
+        for name in ("grids", "labels"):
+            view = np.asarray(getattr(self, name)).view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
 
 
 def generate_dataset(
@@ -133,10 +136,6 @@ def predictor_fitness(rule: RuleParams, cfg: HaltingFitnessConfig) -> float:
 
 # --- genome mapping ----------------------------------------------------------
 
-def _logistic(z):
-    return np.exp(-np.logaddexp(0.0, -z))
-
-
 def _logit(p):
     return np.log(p) - np.log1p(-p)
 
@@ -150,7 +149,7 @@ def squash_genome(raw) -> np.ndarray:
     raw = np.asarray(raw, dtype=np.float64)
     if raw.shape != (GENOME_DIM,):
         raise ValueError(f"genome must have {GENOME_DIM} entries")
-    s = _logistic(raw)
+    s = pred.sigmoid(raw)
     out = s.copy()
     out[1::2] = SIGMA_LO + (SIGMA_HI - SIGMA_LO) * s[1::2]
     return out

@@ -19,7 +19,7 @@ import numpy as np
 from .config import MetricsConfig
 from .grid import centered_patch_state, substream
 from .halting import HALT_THRESHOLD
-from .rules import RuleParams, step
+from .rules import RuleParams, step, trajectory
 
 ESCAPE_THRESHOLD = 0.01
 
@@ -103,31 +103,20 @@ def compute_metrics(rule: RuleParams, cfg: MetricsConfig, seed: int) -> MetricsR
         ]
     )
 
-    droppable = rule.zero_is_absorbing()
-    active = np.arange(n)  # indices simulated in `work`; the rest are dead
     fertility = []
     mortality = []
-    for _ in range(2):
-        escaped_now = np.zeros(n, dtype=bool)
-        for _ in range(cfg.window):
-            if active.size == 0:
-                break
-            work = step(work, rule, cfg.backend)
-            escaped_now[active] |= (
-                _outside_max(work, cfg.box_side) > ESCAPE_THRESHOLD
-            )
-            if droppable:
-                now_dead = work.reshape(work.shape[0], -1).max(axis=1) == 0.0
-                if np.any(now_dead):
-                    active = active[~now_dead]
-                    work = work[~now_dead]
-        quiescent = np.ones(n, dtype=bool)  # retired grids are exactly zero
-        if active.size:
-            quiescent[active] = (
-                work.reshape(work.shape[0], -1).max(axis=1) <= HALT_THRESHOLD
-            )
-        fertility.append(float(escaped_now.mean()))
-        mortality.append(float(quiescent.mean()))
+    escaped_now = np.zeros(n, dtype=bool)
+    for t, active, work in trajectory(
+        work, lambda s: step(s, rule, cfg.backend), 2 * cfg.window,
+        rule.zero_is_absorbing(),
+    ):
+        escaped_now[active] |= _outside_max(work, cfg.box_side) > ESCAPE_THRESHOLD
+        if t % cfg.window == 0:
+            quiescent = np.ones(n, dtype=bool)  # retired grids are exactly zero
+            quiescent[active] = work.max(axis=(-2, -1)) <= HALT_THRESHOLD
+            fertility.append(float(escaped_now.mean()))
+            mortality.append(float(quiescent.mean()))
+            escaped_now[:] = False
 
     return MetricsReport(
         rule_name=rule.name,

@@ -9,7 +9,6 @@ dying out. Selection is plain truncation with mutation-only refill.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,7 +17,8 @@ import numpy as np
 from .config import PatternEvoConfig
 from .grid import place_centered, seed_path, substream
 from .parallel import parallel_map
-from .rules import RuleParams, step
+from .predictor import sigmoid
+from .rules import RuleParams, step, trajectory
 
 ACTIVATIONS = {
     "sine": np.sin,
@@ -110,10 +110,6 @@ def mutate(
     return CppnGenome(**arrays, acts1=flip(genome.acts1), acts2=flip(genome.acts2))
 
 
-def _logistic(z):
-    return np.exp(-np.logaddexp(0.0, -z))
-
-
 def synthesize(genome: CppnGenome, side: int) -> np.ndarray:
     """Evaluate the network over the tile; zero outside the inscribed disc."""
     if side < 3:
@@ -129,7 +125,7 @@ def synthesize(genome: CppnGenome, side: int) -> np.ndarray:
     h2 = h1 @ genome.w2.T + genome.b2
     for j, tag in enumerate(genome.acts2):
         h2[..., j] = ACTIVATIONS[tag](h2[..., j])
-    out = _logistic(h2 @ genome.w3 + genome.b3)
+    out = sigmoid(h2 @ genome.w3 + genome.b3)
     out[r > 1.0] = 0.0
     return out
 
@@ -170,12 +166,7 @@ def center_of_mass(grid: np.ndarray) -> tuple[float, float]:
 
 def _wrap_delta(delta: np.ndarray, side: int) -> np.ndarray:
     """Reduce displacements into [-side/2, side/2) (shortest way around)."""
-    out = (delta + side / 2.0) % side - side / 2.0
-    over = np.abs(out) > side / 2.0
-    if np.any(over):  # defensive: modular reduction already bounds |out|
-        warnings.warn("center-of-mass delta exceeded half the grid; clamped")
-        out = np.clip(out, -side / 2.0, side / 2.0)
-    return out
+    return (delta + side / 2.0) % side - side / 2.0
 
 
 # --- fitness -----------------------------------------------------------------
@@ -196,9 +187,9 @@ def evaluate_tiles(
 ) -> list[PatternFitness]:
     """Score a batch of tiles under one rule; results are per-tile independent.
 
-    Slices that reach the exact all-zero state are finished analytically
-    (center CoM, zero mean, survived = False) instead of being simulated
-    further; bitwise identical to the plain loop when zero is absorbing.
+    Slices that reach the exact all-zero state are retired instead of being
+    simulated further and read as an empty grid at every later checkpoint;
+    bitwise identical to the plain loop (`step_fn`) when zero is absorbing.
     """
     tiles = [np.asarray(t, dtype=np.float64) for t in tiles]
     side = cfg.grid_side
@@ -214,40 +205,24 @@ def evaluate_tiles(
     survived = np.ones(n, dtype=bool)
     final_mean = np.zeros(n)
 
-    center = np.array([side / 2.0, side / 2.0])
-    can_drop = step_fn is None and rule.zero_is_absorbing()
+    retire = step_fn is None and rule.zero_is_absorbing()
     advance = step_fn if step_fn is not None else (
         lambda s: step(s, rule, cfg.backend)
     )
-
-    active = np.arange(n)
-    work = states
-    for t in range(1, cfg.steps + 1):
-        if active.size == 0:
-            break
-        work = advance(work)
-        if can_drop:
-            dead = work.reshape(work.shape[0], -1).max(axis=1) == 0.0
-            if np.any(dead):
-                for idx in active[dead]:
-                    # Next checkpoint would see the center; afterwards deltas
-                    # are exactly zero. final_mean stays 0, survived False.
-                    net[idx] += _wrap_delta(center - com_prev[idx], side)
-                    survived[idx] = False
-                active = active[~dead]
-                work = work[~dead]
-                if active.size == 0:
-                    break
-        if t in checkpoints:
-            com = _com_batch(work)
-            net[active] += _wrap_delta(com - com_prev[active], side)
-            com_prev[active] = com
-            survived[active] &= (
-                work.reshape(work.shape[0], -1).max(axis=1)
-                > cfg.survival_threshold
-            )
-            if t == cfg.steps:
-                final_mean[active] = work.mean(axis=(1, 2))
+    for t, active, work in trajectory(states, advance, cfg.steps, retire):
+        if t not in checkpoints:
+            continue
+        # A retired slice reads as an empty grid: CoM at the center, max 0.
+        com = np.full((n, 2), side / 2.0)
+        peak = np.zeros(n)
+        if active.size:
+            com[active] = _com_batch(work)
+            peak[active] = work.max(axis=(1, 2))
+        net += _wrap_delta(com - com_prev, side)
+        com_prev = com
+        survived &= peak > cfg.survival_threshold
+        if t == cfg.steps and active.size:
+            final_mean[active] = work.mean(axis=(1, 2))
 
     motility = np.hypot(net[:, 0], net[:, 1])
     homeo = np.abs(final_mean - mean0) / np.maximum(mean0, 1e-12)
@@ -266,11 +241,6 @@ def evaluate_tiles(
 
 def evaluate_tile(tile, rule, cfg, step_fn=None) -> PatternFitness:
     return evaluate_tiles([tile], rule, cfg, step_fn)[0]
-
-
-def evaluate_pattern(genome: CppnGenome, rule, cfg, step_fn=None) -> PatternFitness:
-    tile = synthesize(genome, cfg.effective_tile(rule.kernel.radius))
-    return evaluate_tile(tile, rule, cfg, step_fn)
 
 
 # --- evolution ---------------------------------------------------------------

@@ -123,13 +123,13 @@ def predict(w: PredictorWeights, grid: np.ndarray) -> float:
     return float(predict_batch(w, _pool_input(grid)[None])[0])
 
 
-def _sigmoid(z):
-    # exp(-softplus(-z)): overflow-free on both tails.
+def sigmoid(z):
+    """Logistic 1 / (1 + e^-z) as exp(-softplus(-z)): overflow-free on both tails."""
     return np.exp(-np.logaddexp(0.0, -z))
 
 
 def predict_batch(w: PredictorWeights, grids: np.ndarray) -> np.ndarray:
-    return _sigmoid(_forward(w, _pool_input(grids))["logit"])
+    return sigmoid(_forward(w, _pool_input(grids))["logit"])
 
 
 def loss_and_grads(w: PredictorWeights, grids, labels):
@@ -145,7 +145,7 @@ def loss_and_grads(w: PredictorWeights, grids, labels):
     # softplus(l) - y*l is the numerically stable form of BCE on logits.
     loss = float(np.mean(np.logaddexp(0.0, logit) - y * logit))
 
-    glogit = (_sigmoid(logit) - y) / batch
+    glogit = (sigmoid(logit) - y) / batch
     g_dense_w = glogit @ cache["feat"]
     g_dense_b = glogit.sum()
     gfeat = np.outer(glogit, w.dense_w)

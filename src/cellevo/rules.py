@@ -173,6 +173,27 @@ def step(state: np.ndarray, rule: RuleParams, backend: str = "auto") -> np.ndarr
     return np.clip(state + rule.dt * delta, 0.0, 1.0)
 
 
+def trajectory(work: np.ndarray, advance, steps: int, retire: bool):
+    """Yield (t, active, work) after each update t = 1..steps of a (N, H, W) batch.
+
+    `work` holds only the slices whose indices are listed in `active`.
+    With `retire` set, slices whose max is exactly 0 leave both before the
+    yield: their future is known when the empty state is absorbing, and
+    per-slice updates are bitwise independent of batch composition. Once
+    no slice is left, the empty batch is yielded without calling advance.
+    """
+    active = np.arange(work.shape[0])
+    for t in range(1, steps + 1):
+        if active.size:
+            # Rebinding the parameter drops the caller's initial batch.
+            work = advance(work)
+            if retire:
+                alive = work.max(axis=(-2, -1)) != 0.0
+                if not alive.all():
+                    active, work = active[alive], work[alive]
+        yield t, active, work
+
+
 class RunResult(NamedTuple):
     final: np.ndarray
     means: np.ndarray  # mean cell value after each step, shape (steps, ...)
@@ -180,18 +201,31 @@ class RunResult(NamedTuple):
 
 
 def run(state: np.ndarray, rule: RuleParams, steps: int, backend: str = "auto") -> RunResult:
-    """Iterate `step` and record per-step mean/max summaries."""
+    """Iterate `step` and record per-step mean/max summaries.
+
+    Slices that reach exactly 0 under an absorbing rule stop being
+    simulated; their summaries and final state read 0.
+    """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     state = np.asarray(state, dtype=np.float64)
     lead = state.shape[:-2]
-    means = np.zeros((steps, *lead))
-    maxes = np.zeros((steps, *lead))
-    for t in range(steps):
-        state = step(state, rule, backend)
-        means[t] = state.mean(axis=(-2, -1))
-        maxes[t] = state.max(axis=(-2, -1))
-    return RunResult(state, means, maxes)
+    batch = state.reshape(-1, *state.shape[-2:])
+    means = np.zeros((steps, batch.shape[0]))
+    maxes = np.zeros((steps, batch.shape[0]))
+    active, work = np.arange(batch.shape[0]), batch
+    for t, active, work in trajectory(
+        batch, lambda s: step(s, rule, backend), steps, rule.zero_is_absorbing()
+    ):
+        means[t - 1, active] = work.mean(axis=(-2, -1))
+        maxes[t - 1, active] = work.max(axis=(-2, -1))
+    final = np.zeros_like(batch)
+    final[active] = work
+    return RunResult(
+        final.reshape(state.shape),
+        means.reshape(steps, *lead),
+        maxes.reshape(steps, *lead),
+    )
 
 
 def evolve_batch(
@@ -200,27 +234,19 @@ def evolve_batch(
     """Advance a (N, H, W) batch `steps` updates, returning only the final states.
 
     When the all-zero state is absorbing, slices that reach exactly 0 are
-    dropped from the working batch (their future is known); per-slice FFTs
-    are bitwise independent of batch composition, so results are unchanged.
+    retired from the working batch; results are bitwise unchanged.
     """
-    state = np.array(state, dtype=np.float64)
+    state = np.asarray(state, dtype=np.float64)
     if state.ndim != 3:
         raise ValueError("evolve_batch expects a (N, H, W) batch")
-    droppable = rule.zero_is_absorbing()
-    active = np.arange(state.shape[0])
-    work = state
-    for _ in range(steps):
-        if work.shape[0] == 0:
-            break
-        work = step(work, rule, backend)
-        if droppable:
-            alive = work.reshape(work.shape[0], -1).max(axis=1) > 0.0
-            if not alive.all():
-                state[active] = work
-                active = active[alive]
-                work = work[alive]
-    state[active] = work
-    return state
+    active, work = np.arange(state.shape[0]), state
+    for _, active, work in trajectory(
+        state, lambda s: step(s, rule, backend), steps, rule.zero_is_absorbing()
+    ):
+        pass
+    final = np.zeros_like(state)
+    final[active] = work
+    return final
 
 
 # --- serialization -----------------------------------------------------------
@@ -241,27 +267,31 @@ def _bump_from_dict(d: dict, what: str) -> GrowthBump:
     return GrowthBump(float(d["mu"]), float(d["sigma"]))
 
 
+def kernel_from_dict(d: dict) -> KernelSpec:
+    """Parse the JSON kernel format; unknown or missing fields are an error."""
+    if not isinstance(d, dict):
+        raise ValueError("kernel must be an object")
+    _require_keys(
+        d,
+        {"radius", "ring_weights", "core", "core_param"},
+        {"radius", "ring_weights"},
+        "kernel",
+    )
+    return KernelSpec(
+        radius=int(d["radius"]),
+        ring_weights=tuple(float(b) for b in d["ring_weights"]),
+        core=d.get("core", "lenia_shell"),
+        core_param=float(d.get("core_param", 4.0)),
+    )
+
+
 def rule_from_dict(d: dict) -> RuleParams:
     """Parse the JSON rule format; unknown fields are an error."""
     if not isinstance(d, dict):
         raise ValueError("rule must be a JSON object")
     allowed = {"name", "framework", "kernel", "dt", "growth", "genesis", "persistence"}
     _require_keys(d, allowed, {"name", "framework", "kernel", "dt"}, "rule")
-    kd = d["kernel"]
-    if not isinstance(kd, dict):
-        raise ValueError("kernel must be an object")
-    _require_keys(
-        kd,
-        {"radius", "ring_weights", "core", "core_param"},
-        {"radius", "ring_weights"},
-        "kernel",
-    )
-    kernel = KernelSpec(
-        radius=int(kd["radius"]),
-        ring_weights=tuple(float(b) for b in kd["ring_weights"]),
-        core=kd.get("core", "lenia_shell"),
-        core_param=float(kd.get("core_param", 4.0)),
-    )
+    kernel = kernel_from_dict(d["kernel"])
     framework = d["framework"]
     required_bumps = {LENIA: ("growth",), GLABERISH: ("genesis", "persistence")}
     for key in required_bumps.get(framework, ()):

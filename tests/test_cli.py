@@ -57,6 +57,19 @@ class TestExitCodes:
                 "--out", str(tmp_path)]
         assert main(args) == 2
 
+    def test_kernel_missing_field_names_it(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"kernel": {"ring_weights": [1.0]}}')
+        assert main([*EVOLVE_CA, "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 1
+        assert "missing kernel field 'radius'" in capsys.readouterr().err
+
+    def test_patch_larger_than_grid_is_1(self, tmp_path, capsys):
+        args = ["simulate", "--side", "16", "--patch-side", "32",
+                "--out", str(tmp_path)]
+        assert main(args) == 1
+        assert "patch_side" in capsys.readouterr().err
+
     def test_help_is_0(self, capsys):
         assert main(["--help"]) == 0
 

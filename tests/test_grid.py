@@ -148,6 +148,12 @@ class TestConvolve:
         assert np.allclose(convolve(small, k, "auto"), convolve(small, k, "direct"))
         assert np.allclose(convolve(large, k, "auto"), convolve(large, k, "fft"))
 
+    def test_default_backend_is_fft_bitwise(self):
+        rng = np.random.default_rng(48)
+        k = random_kernel(rng, 18)
+        batch = rng.random((3, 48, 48))
+        assert np.array_equal(convolve(batch, k), convolve(batch, k, "fft"))
+
 
 class TestHelpers:
     def test_block_mean_oracle(self):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from cellevo.config import EvolveCaConfig, HaltingFitnessConfig
 from cellevo.halting import (
     HALT_THRESHOLD,
+    HaltingDataset,
     SIGMA_HI,
     SIGMA_LO,
     balance_fitness,
@@ -79,6 +80,13 @@ class TestGenerateDataset:
         ds = generate_dataset(ALWAYS_DECAY, 4, 32, 1, seed=0)
         with pytest.raises(ValueError):
             ds.grids[0, 0, 0] = 1.0
+
+    def test_callers_arrays_stay_writeable(self):
+        grids = np.zeros((2, 8, 8))
+        labels = np.array([True, False])
+        ds = HaltingDataset(grids, labels, 1, ALWAYS_DECAY)
+        assert grids.flags.writeable and labels.flags.writeable
+        assert not ds.grids.flags.writeable and not ds.labels.flags.writeable
 
 
 class TestSimpleFitness:

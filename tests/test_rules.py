@@ -272,6 +272,54 @@ class TestRun:
             manual = step(manual, rule, backend="direct")
         assert np.array_equal(res.final, manual)
 
+    def test_batch_with_dying_slices_matches_plain_loop_bitwise(self, monkeypatch):
+        sizes = []
+
+        def spy(state, *args):
+            sizes.append(len(state))
+            return step(state, *args)
+
+        rng = np.random.default_rng(15)
+        batch = np.stack([
+            centered_patch_state(32, 8, rng),  # decays to exactly 0
+            np.zeros((32, 32)),
+            np.ones((32, 32)),  # n = 1 sits on the growth peak
+        ])
+        rule = lenia_rule(1.0, 0.1)
+        monkeypatch.setattr(rules, "step", spy)
+        res = run(batch, rule, 20)
+        monkeypatch.undo()
+        assert sizes[0] == 3 and sizes[-1] == 1  # dead slices were retired
+        state = batch
+        for t in range(20):
+            state = step(state, rule)
+            assert np.array_equal(res.means[t], state.mean(axis=(-2, -1)))
+            assert np.array_equal(res.maxes[t], state.max(axis=(-2, -1)))
+        assert np.array_equal(res.final, state)
+        assert res.maxes[-1, 0] == 0.0 and res.maxes[-1, 2] > 0.0
+
+
+class TestTrajectory:
+    def test_retires_dead_slices_and_stops_advancing(self):
+        calls = []
+
+        def halve_then_kill(s):
+            calls.append(s.shape[0])
+            return np.where(len(calls) >= 2, 0.0, s * 0.5)
+
+        batch = np.stack([np.full((4, 4), 0.5), np.zeros((4, 4))])
+        seen = [(t, active.tolist(), work.shape[0])
+                for t, active, work in rules.trajectory(
+                    batch, halve_then_kill, 4, retire=True)]
+        assert seen == [(1, [0], 1), (2, [], 0), (3, [], 0), (4, [], 0)]
+        assert calls == [2, 1]
+
+    def test_keeps_every_slice_without_retire(self):
+        batch = np.zeros((2, 4, 4))
+        seen = [active.tolist()
+                for _, active, _ in rules.trajectory(batch, lambda s: s, 3, False)]
+        assert seen == [[0, 1]] * 3
+
 
 class TestEvolveBatch:
     def test_matches_plain_loop_bitwise(self):
