@@ -250,6 +250,8 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    if args.every <= 0:
+        raise _UsageError(f"--every must be positive, got {args.every}")
     if args.pattern:
         pattern = load_pattern(args.pattern)
         rule, tile = pattern.rule, pattern.tile

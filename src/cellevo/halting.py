@@ -193,7 +193,7 @@ class EvolveCaResult:
 
 
 def _evaluate(args) -> float:
-    """Worker for one candidate; sanitizes non-finite fitness to -1."""
+    """Worker for one candidate: its fitness, which may be non-finite."""
     raw, mode, cfg, eval_seed, fitness_fn = args
     if fitness_fn is not None:
         value = fitness_fn(raw, eval_seed)
@@ -204,8 +204,7 @@ def _evaluate(args) -> float:
             value = predictor_fitness(rule, fcfg)
         else:
             value = simple_fitness(rule, fcfg)
-    value = float(value)
-    return value if np.isfinite(value) else -1.0
+    return float(value)
 
 
 def _sample_uniform_genome(rng) -> np.ndarray:
@@ -238,7 +237,8 @@ def evolve_rules(
     Candidate i of generation g is always evaluated under the derived
     seed (seed, g, i), so any evaluation schedule gives identical results.
     fitness_fn(raw, eval_seed) replaces the built-in fitness when given
-    (used for landscape tests).
+    (used for landscape tests). A non-finite fitness is ranked as -1, the
+    worst, and counted in its generation's history entry as n_nonfinite.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -274,6 +274,8 @@ def evolve_rules(
             for i in range(lam)
         ]
         fits = np.array(parallel_map(_evaluate, jobs, workers))
+        nonfinite = ~np.isfinite(fits)
+        fits[nonfinite] = -1.0
         evaluations += lam
         if es is not None:
             es.tell(cands, fits)
@@ -287,6 +289,7 @@ def evolve_rules(
                 "best_fitness": float(fits[gi]),
                 "mean_fitness": float(fits.mean()),
                 "best_genome": [float(v) for v in cands[gi]],
+                "n_nonfinite": int(nonfinite.sum()),
                 "mode": mode,
                 "seed": seed,
             }

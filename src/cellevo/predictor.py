@@ -10,7 +10,10 @@ Fixed architecture on 32x32 inputs:
 
 673 parameters total. Forward pass and backprop are hand-rolled numpy so
 gradients can be finite-difference checked; training is plain SGD with
-momentum on binary cross-entropy.
+momentum on binary cross-entropy. Activations are channels-last, and each
+convolution is an im2col window copy followed by one matmul (Chellapilla,
+Puri & Simard 2006); its input gradient is the matmul's transpose followed
+by col2im, the scatter-add adjoint of that copy.
 """
 from __future__ import annotations
 
@@ -78,36 +81,48 @@ def init_weights(rng: np.random.Generator) -> PredictorWeights:
 
 
 def _conv_valid(x, w, b):
-    """x: (B, C, H, W), w: (O, C, 3, 3) -> (B, O, H-2, W-2)."""
-    windows = sliding_window_view(x, (3, 3), axis=(2, 3))
-    return np.einsum("bcijuv,ocuv->boij", windows, w) + b[None, :, None, None]
+    """Valid 3x3 correlation of channels-last x (B, H, W, C) with w (O, C, 3, 3).
+
+    Returns the im2col rows (B*(H-2)*(W-2), C*9) and the output (B, H-2, W-2, O).
+    """
+    n, h, wd, c = x.shape
+    cols = sliding_window_view(x, (3, 3), axis=(1, 2)).reshape(-1, c * 9)
+    z = cols @ w.reshape(len(w), -1).T
+    z += b
+    return cols, z.reshape(n, h - 2, wd - 2, len(w))
 
 
-def _conv_backward(x, w, gout):
-    """Gradients of a valid 3x3 correlation: returns (gw, gb, gx)."""
-    windows = sliding_window_view(x, (3, 3), axis=(2, 3))
-    gw = np.einsum("boij,bcijuv->ocuv", gout, windows)
-    gb = gout.sum(axis=(0, 2, 3))
-    padded = np.pad(gout, ((0, 0), (0, 0), (2, 2), (2, 2)))
-    gwin = sliding_window_view(padded, (3, 3), axis=(2, 3))
-    gx = np.einsum("boijuv,ocuv->bcij", gwin, w[:, :, ::-1, ::-1])
-    return gw, gb, gx
+def _conv_param_grads(cols, w, gz):
+    """Weight and bias gradients of _conv_valid, given the gradient gz of its output."""
+    gz = gz.reshape(len(cols), len(w))
+    return (gz.T @ cols).reshape(w.shape), gz.sum(axis=0)
+
+
+def _col2im(gcols, shape):
+    """Adjoint of the im2col copy: scatter-add window gradients onto (B, H, W, C)."""
+    n, h, wd, c = shape
+    gwin = gcols.reshape(n, h - 2, wd - 2, c, 3, 3)
+    gx = np.zeros(shape)
+    for u in range(3):
+        for v in range(3):
+            gx[:, u : u + h - 2, v : v + wd - 2] += gwin[..., u, v]
+    return gx
 
 
 def _forward(w: PredictorWeights, x: np.ndarray) -> dict:
     """x: (B, 32, 32). Returns every intermediate needed for backprop."""
-    x1 = x[:, None, :, :]
-    z1 = _conv_valid(x1, w.conv1_w, w.conv1_b)
+    cols1, z1 = _conv_valid(x[..., None], w.conv1_w, w.conv1_b)
     a1 = np.tanh(z1)
-    b, c, h, wd = a1.shape
-    pooled = a1.reshape(b, c, h // 2, 2, wd // 2, 2).mean(axis=(3, 5))
-    z2 = _conv_valid(pooled, w.conv2_w, w.conv2_b)
+    pooled = (
+        a1[:, ::2, ::2] + a1[:, ::2, 1::2] + a1[:, 1::2, ::2] + a1[:, 1::2, 1::2]
+    ) / 4.0
+    cols2, z2 = _conv_valid(pooled, w.conv2_w, w.conv2_b)
     a2 = np.tanh(z2)
-    feat = a2.mean(axis=(2, 3))
+    feat = a2.mean(axis=(1, 2))
     logit = feat @ w.dense_w + w.dense_b
     return {
-        "x1": x1, "a1": a1, "pooled": pooled, "a2": a2, "feat": feat,
-        "logit": logit,
+        "cols1": cols1, "a1": a1, "pooled": pooled, "cols2": cols2, "a2": a2,
+        "feat": feat, "logit": logit,
     }
 
 
@@ -150,15 +165,19 @@ def loss_and_grads(w: PredictorWeights, grids, labels):
     g_dense_b = glogit.sum()
     gfeat = np.outer(glogit, w.dense_w)
 
-    ga2 = np.broadcast_to(
-        gfeat[:, :, None, None] / (13 * 13), cache["a2"].shape
+    gz2 = (gfeat / (13 * 13))[:, None, None, :] * (1.0 - cache["a2"] ** 2)
+    g_conv2_w, g_conv2_b = _conv_param_grads(cache["cols2"], w.conv2_w, gz2)
+    gpooled = _col2im(
+        gz2.reshape(-1, N_CHANNELS) @ w.conv2_w.reshape(N_CHANNELS, -1),
+        cache["pooled"].shape,
     )
-    gz2 = ga2 * (1.0 - cache["a2"] ** 2)
-    g_conv2_w, g_conv2_b, gpooled = _conv_backward(cache["pooled"], w.conv2_w, gz2)
 
-    ga1 = np.repeat(np.repeat(gpooled, 2, axis=2), 2, axis=3) / 4.0
-    gz1 = ga1 * (1.0 - cache["a1"] ** 2)
-    g_conv1_w, g_conv1_b, _ = _conv_backward(cache["x1"], w.conv1_w, gz1)
+    # Average-pool backward spreads each gradient over its 2x2 block; the
+    # input gradient of conv1 is never needed, so it is not computed.
+    b, h, wd, c = cache["a1"].shape
+    gz1 = (1.0 - cache["a1"] ** 2).reshape(b, h // 2, 2, wd // 2, 2, c)
+    gz1 *= (gpooled / 4.0)[:, :, None, :, None, :]
+    g_conv1_w, g_conv1_b = _conv_param_grads(cache["cols1"], w.conv1_w, gz1)
 
     grads = PredictorWeights(
         g_conv1_w, g_conv1_b, g_conv2_w, g_conv2_b, g_dense_w,

@@ -213,6 +213,14 @@ class TestRender:
                          "--seed", "9", "--out", str(out)]) == 0
         assert read_bytes_tree(a) == read_bytes_tree(b)
 
+    @pytest.mark.parametrize("every", ["0", "-3"])
+    def test_non_positive_every_is_usage_error(self, tmp_path, every, capsys):
+        args = ["render", "--steps", "2", "--grid-side", "64", "--every", every,
+                "--out", str(tmp_path)]
+        assert main(args) == 1
+        assert "--every" in capsys.readouterr().err
+        assert not (tmp_path / "frames").exists()
+
     def test_tile_too_big_is_usage_error(self, tmp_path, capsys):
         evo = tmp_path / "evo"
         assert main([*EVOLVE_PATTERN, "--seed", "2", "--out", str(evo)]) == 0

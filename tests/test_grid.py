@@ -139,8 +139,7 @@ class TestConvolve:
         with pytest.raises(ValueError, match="backend"):
             convolve(np.zeros((8, 8)), delta_kernel(1), "spectral")
 
-    def test_auto_picks_by_size(self):
-        # Same values either way; just exercise both dispatch paths.
+    def test_auto_is_fft_and_agrees_with_direct_at_side_16(self):
         rng = np.random.default_rng(2)
         k = random_kernel(rng, 2)
         small = rng.random((16, 16))

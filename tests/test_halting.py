@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cellevo.cmaes import CmaEs
 from cellevo.config import EvolveCaConfig, HaltingFitnessConfig
 from cellevo.halting import (
     HALT_THRESHOLD,
@@ -208,7 +209,7 @@ class TestEvolveRules:
         rec = res.history[0]
         assert set(rec) == {
             "generation", "best_fitness", "mean_fitness", "best_genome",
-            "mode", "seed",
+            "n_nonfinite", "mode", "seed",
         }
         assert rec["generation"] == 1
         assert rec["mode"] == "simple"
@@ -244,6 +245,34 @@ class TestEvolveRules:
         cfg = EvolveCaConfig(generations=2, kernel=SMALL_KERNEL)
         res = evolve_rules("simple", cfg, seed=3, fitness_fn=sometimes_nan)
         assert np.isfinite(res.best_fitness)
+
+    def test_non_finite_fitness_counted_and_told_as_minus_one(self, monkeypatch):
+        returned = {}
+
+        def nan_or_inf(raw, eval_seed):
+            value = float("nan") if raw[0] > 0 else -float(raw @ raw)
+            value = float("inf") if raw[1] > 1.0 else value
+            returned[tuple(eval_seed)] = value
+            return value
+
+        told = []
+        real_tell = CmaEs.tell
+
+        def spy_tell(es, cands, fits):
+            told.append(np.array(fits, dtype=float))
+            return real_tell(es, cands, fits)
+
+        monkeypatch.setattr(CmaEs, "tell", spy_tell)
+        cfg = EvolveCaConfig(generations=3, kernel=SMALL_KERNEL)
+        res = evolve_rules("simple", cfg, seed=3, fitness_fn=nan_or_inf)
+        assert len(told) == 3
+        for gen, (rec, fits) in enumerate(zip(res.history, told), start=1):
+            values = np.array([returned[(3, gen, i)] for i in range(len(fits))])
+            bad = ~np.isfinite(values)
+            assert rec["n_nonfinite"] == int(bad.sum())
+            assert np.all(fits[bad] == -1.0)
+            assert np.array_equal(fits[~bad], values[~bad])
+        assert sum(rec["n_nonfinite"] for rec in res.history) > 0
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):

@@ -121,11 +121,13 @@ class TestForward:
 
 
 class TestGradients:
-    def test_matches_central_differences_all_layers(self):
+    # 5 is odd, like the last partial batch of a train epoch.
+    @pytest.mark.parametrize("batch", [6, 5])
+    def test_matches_central_differences_all_layers(self, batch):
         rng = np.random.default_rng(99)
         w = init_weights(rng)
-        x = rng.random((6, 32, 32))
-        y = rng.integers(0, 2, 6).astype(float)
+        x = rng.random((batch, 32, 32))
+        y = rng.integers(0, 2, batch).astype(float)
         _, g = loss_and_grads(w, x, y)
         flat = w.pack()
         eps = 1e-5
@@ -151,6 +153,26 @@ class TestGradients:
         stepped = PredictorWeights.unpack(w.pack() - 0.1 * g)
         loss1, _ = loss_and_grads(stepped, x, y)
         assert loss1 < loss0
+
+
+class TestInputSafety:
+    def test_caller_arrays_stay_unchanged_and_writeable(self):
+        rng = np.random.default_rng(31)
+        w = init_weights(rng)
+        grids = rng.random((8, 32, 32))
+        large = rng.random((8, 64, 64))
+        labels = rng.integers(0, 2, 8).astype(float)
+        arrays = [grids, large, labels, w.conv1_w, w.conv1_b, w.conv2_w,
+                  w.conv2_b, w.dense_w, w.dense_b]
+        before = [a.copy() for a in arrays]
+        loss_and_grads(w, grids, labels)
+        predict_batch(w, grids)
+        predict_batch(w, large)
+        train(grids, labels, epochs=1, seed=0)
+        train(large, labels, epochs=1, seed=0)
+        for a, b in zip(arrays, before):
+            assert np.array_equal(a, b)
+            assert a.flags.writeable
 
 
 class TestAccuracy:
