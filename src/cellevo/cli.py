@@ -58,6 +58,11 @@ def _resolve_rule(args):
         raise _UsageError(str(exc)) from exc
 
 
+def _require_positive(flag: str, value: int) -> None:
+    if value < 1:
+        raise _UsageError(f"{flag} must be at least 1, got {value}")
+
+
 def _build_config(cls, config_path, overrides, nested=()):
     """Overlay non-None CLI overrides on top of an optional JSON config file.
 
@@ -161,6 +166,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_evolve_ca(args) -> int:
+    _require_positive("--workers", args.workers)
     cfg = _build_config(
         EvolveCaConfig,
         args.config,
@@ -191,6 +197,7 @@ def _cmd_evolve_ca(args) -> int:
 
 
 def _cmd_evolve_pattern(args) -> int:
+    _require_positive("--workers", args.workers)
     rule = _resolve_rule(args)
     cfg = _build_config(
         PatternEvoConfig,
@@ -250,8 +257,7 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    if args.every <= 0:
-        raise _UsageError(f"--every must be positive, got {args.every}")
+    _require_positive("--every", args.every)
     if args.pattern:
         pattern = load_pattern(args.pattern)
         rule, tile = pattern.rule, pattern.tile

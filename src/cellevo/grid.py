@@ -95,7 +95,8 @@ def convolve(state: np.ndarray, kernel: Kernel, backend: str = "auto") -> np.nda
         raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
     if backend != "direct":
         shape = state.shape[-2:]
-        spec = np.fft.rfft2(state, axes=(-2, -1)) * kernel.spectrum(shape)
+        spec = np.fft.rfft2(state, axes=(-2, -1))
+        np.multiply(spec, kernel.spectrum(shape), out=spec)
         return np.fft.irfft2(spec, s=shape, axes=(-2, -1))
     # Shift-and-add reference path: exact modular indexing via np.roll.
     out = np.zeros_like(state)

@@ -22,7 +22,7 @@ from . import predictor as pred
 from .cmaes import CmaEs
 from .config import EvolveCaConfig, HaltingFitnessConfig
 from .grid import centered_patch_state, seed_path, substream
-from .parallel import parallel_map
+from .parallel import parallel_map, worker_pool
 from .rules import GLABERISH, GrowthBump, KernelSpec, RuleParams, evolve_batch
 
 HALT_THRESHOLD = 1e-6
@@ -259,40 +259,41 @@ def evolve_rules(
     best_raw = None
     best_fit = -np.inf
     evaluations = 0
-    for gen in range(1, cfg.generations + 1):
-        if es is not None:
-            cands = es.ask()
-        else:
-            cands = np.stack(
-                [
-                    _sample_uniform_genome(substream(seed, gen, i))
-                    for i in range(lam)
-                ]
+    with worker_pool(min(workers, lam)) as pool_map:
+        for gen in range(1, cfg.generations + 1):
+            if es is not None:
+                cands = es.ask()
+            else:
+                cands = np.stack(
+                    [
+                        _sample_uniform_genome(substream(seed, gen, i))
+                        for i in range(lam)
+                    ]
+                )
+            jobs = [
+                (cands[i], mode, cfg, seed_path(seed, gen, i), fitness_fn)
+                for i in range(lam)
+            ]
+            fits = np.array(parallel_map(_evaluate, jobs, pool_map))
+            nonfinite = ~np.isfinite(fits)
+            fits[nonfinite] = -1.0
+            evaluations += lam
+            if es is not None:
+                es.tell(cands, fits)
+            gi = int(np.argmax(fits))
+            if fits[gi] > best_fit:
+                best_fit = float(fits[gi])
+                best_raw = cands[gi].copy()
+            history.append(
+                {
+                    "generation": gen,
+                    "best_fitness": float(fits[gi]),
+                    "mean_fitness": float(fits.mean()),
+                    "best_genome": [float(v) for v in cands[gi]],
+                    "n_nonfinite": int(nonfinite.sum()),
+                    "mode": mode,
+                    "seed": seed,
+                }
             )
-        jobs = [
-            (cands[i], mode, cfg, seed_path(seed, gen, i), fitness_fn)
-            for i in range(lam)
-        ]
-        fits = np.array(parallel_map(_evaluate, jobs, workers))
-        nonfinite = ~np.isfinite(fits)
-        fits[nonfinite] = -1.0
-        evaluations += lam
-        if es is not None:
-            es.tell(cands, fits)
-        gi = int(np.argmax(fits))
-        if fits[gi] > best_fit:
-            best_fit = float(fits[gi])
-            best_raw = cands[gi].copy()
-        history.append(
-            {
-                "generation": gen,
-                "best_fitness": float(fits[gi]),
-                "mean_fitness": float(fits.mean()),
-                "best_genome": [float(v) for v in cands[gi]],
-                "n_nonfinite": int(nonfinite.sum()),
-                "mode": mode,
-                "seed": seed,
-            }
-        )
     best_rule = genome_to_rule(best_raw, cfg.kernel, cfg.dt, name=f"evolved_{mode}")
     return EvolveCaResult(best_rule, best_raw, best_fit, history, evaluations)

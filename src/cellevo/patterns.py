@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import PatternEvoConfig
 from .grid import place_centered, seed_path, substream
-from .parallel import parallel_map
+from .parallel import parallel_map, worker_pool
 from .predictor import sigmoid
 from .rules import RuleParams, step, trajectory
 
@@ -259,16 +259,15 @@ def _eval_chunk(args):
     return evaluate_tiles(tiles, rule, cfg)
 
 
-def _evaluate_genomes(genomes, rule, cfg, tile_side, workers) -> list[PatternFitness]:
+def _evaluate_genomes(
+    genomes, rule, cfg, tile_side, pool_map, workers
+) -> list[PatternFitness]:
+    """Score genomes as one evaluate_tiles batch per worker."""
     tiles = [synthesize(g, tile_side) for g in genomes]
-    if workers <= 1 or len(tiles) < 2:
-        return evaluate_tiles(tiles, rule, cfg)
     chunks = np.array_split(np.arange(len(tiles)), min(workers, len(tiles)))
-    jobs = [([tiles[i] for i in chunk], rule, cfg) for chunk in chunks if len(chunk)]
-    out: list[PatternFitness] = []
-    for part in parallel_map(_eval_chunk, jobs, workers):
-        out.extend(part)
-    return out
+    jobs = [([tiles[i] for i in chunk], rule, cfg) for chunk in chunks]
+    parts = parallel_map(_eval_chunk, jobs, pool_map)
+    return [fit for part in parts for fit in part]
 
 
 def evolve_patterns(
@@ -291,8 +290,6 @@ def evolve_patterns(
     population = [
         random_genome(substream(seed, 0, i)) for i in range(cfg.population)
     ]
-    fitnesses = _evaluate_genomes(population, rule, cfg, tile_side, workers)
-    evaluations = cfg.population
 
     history: list[dict] = []
 
@@ -312,25 +309,32 @@ def evolve_patterns(
             }
         )
 
-    log(1)
-    for gen in range(2, cfg.generations + 1):
-        order = sorted(
-            range(cfg.population), key=lambda i: fitnesses[i].total, reverse=True
+    with worker_pool(min(workers, cfg.population)) as pool_map:
+        fitnesses = _evaluate_genomes(
+            population, rule, cfg, tile_side, pool_map, workers
         )
-        survivors = [population[i] for i in order[:keep]]
-        survivor_fits = [fitnesses[i] for i in order[:keep]]
-        offspring = []
-        for slot in range(keep, cfg.population):
-            rng = substream(seed, gen, slot)
-            parent = survivors[int(rng.integers(0, keep))]
-            offspring.append(
-                mutate(parent, rng, cfg.weight_std, cfg.act_prob)
+        evaluations = cfg.population
+        log(1)
+        for gen in range(2, cfg.generations + 1):
+            order = sorted(
+                range(cfg.population), key=lambda i: fitnesses[i].total, reverse=True
             )
-        child_fits = _evaluate_genomes(offspring, rule, cfg, tile_side, workers)
-        evaluations += len(offspring)
-        population = survivors + offspring
-        fitnesses = survivor_fits + child_fits
-        log(gen)
+            survivors = [population[i] for i in order[:keep]]
+            survivor_fits = [fitnesses[i] for i in order[:keep]]
+            offspring = []
+            for slot in range(keep, cfg.population):
+                rng = substream(seed, gen, slot)
+                parent = survivors[int(rng.integers(0, keep))]
+                offspring.append(
+                    mutate(parent, rng, cfg.weight_std, cfg.act_prob)
+                )
+            child_fits = _evaluate_genomes(
+                offspring, rule, cfg, tile_side, pool_map, workers
+            )
+            evaluations += len(offspring)
+            population = survivors + offspring
+            fitnesses = survivor_fits + child_fits
+            log(gen)
 
     best = max(range(cfg.population), key=lambda i: fitnesses[i].total)
     return PatternEvoResult(

@@ -172,6 +172,16 @@ class TestEvolvePattern:
         assert read_bytes_tree(a) == read_bytes_tree(b)
 
 
+@pytest.mark.parametrize("argv", [EVOLVE_CA, EVOLVE_PATTERN],
+                         ids=["evolve-ca", "evolve-pattern"])
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_workers_below_one_is_usage_error(tmp_path, argv, workers, capsys):
+    out = tmp_path / "out"
+    assert main([*argv, "--workers", workers, "--out", str(out)]) == 1
+    assert "--workers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestMetrics:
     ARGS = ["metrics", "--rule", "Orbium", "--n-grids", "4", "--grid-side",
             "32", "--patch-side", "8", "--box-side", "16", "--window", "4"]

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cellevo.rules as rules
-from cellevo.grid import centered_patch_state
+from cellevo.grid import centered_patch_state, convolve
 from cellevo.rules import (
     GrowthBump,
     KernelSpec,
@@ -94,6 +94,25 @@ class TestGrowthValue:
         assert vec.shape == ns.shape
         for n, v in zip(ns, vec):
             assert v == growth_value(b, float(n))
+
+    def test_scalar_input_gives_python_float(self):
+        got = growth_value(GrowthBump(0.2, 0.04), 0.25)
+        assert type(got) is float
+        assert type(growth_value(GrowthBump(0.2, 0.04), np.float64(0.25))) is float
+
+    def test_bitwise_equal_to_textbook_order(self):
+        # 2 exp((-z/2) z) - 1, including the underflow and overflow ends of z.
+        rng = np.random.default_rng(3)
+        n = np.concatenate([
+            rng.uniform(-5.0, 5.0, 5000),
+            [1e-160, -1e-160, 5e-324, 1e154, -1e154, 1e300, np.inf, -np.inf],
+        ])
+        for mu, sigma in [(0.15, 0.015), (0.0, 1e9), (50.0, 0.1), (0.3, 1e-3)]:
+            z = (n - mu) / sigma
+            with np.errstate(over="ignore"):
+                expected = 2.0 * np.exp(-0.5 * z * z) - 1.0
+                got = growth_value(GrowthBump(mu, sigma), n)
+            assert got.tobytes() == expected.tobytes()
 
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError, match="sigma"):
@@ -247,6 +266,92 @@ class TestStep:
         assert not always_grow_rule().zero_is_absorbing()
         assert load_preset("Orbium").zero_is_absorbing()
         assert load_preset("s613").zero_is_absorbing()
+
+
+def plain_step(state, rule, backend="auto"):
+    """The update evaluated on whole arrays, one temporary per operation."""
+    state = np.asarray(state, dtype=np.float64)
+    n = convolve(state, build_kernel(rule.kernel), backend)
+    if rule.framework == "lenia":
+        delta = growth_value(rule.growth, n)
+    else:
+        delta = (1 - state) * growth_value(rule.genesis, n) + state * growth_value(
+            rule.persistence, n
+        )
+    return np.clip(state + rule.dt * delta, 0, 1)
+
+
+def noncontiguous_batch(rng):
+    # Every other slice, columns reversed, then transposed: no unit strides.
+    return rng.random((6, 64, 64))[::2, :, ::-1].transpose(0, 2, 1)
+
+
+class TestBlockedStep:
+    """`step` updates the convolution output in blocks of BLOCK_CELLS cells."""
+
+    SHAPES = {
+        "below_one_block": (40, 40),
+        "one_block": (4, 64, 64),
+        "two_blocks": (2, 128, 128),
+        "ragged_tail": (5, 64, 64),
+        "two_leading_axes": (2, 3, 64, 64),
+    }
+
+    def test_shapes_cover_block_boundaries(self):
+        cells = {k: math.prod(v) for k, v in self.SHAPES.items()}
+        assert cells["below_one_block"] < rules.BLOCK_CELLS
+        assert cells["one_block"] == rules.BLOCK_CELLS
+        assert cells["two_blocks"] == 2 * rules.BLOCK_CELLS
+        assert cells["ragged_tail"] % rules.BLOCK_CELLS != 0
+        assert cells["two_leading_axes"] % rules.BLOCK_CELLS != 0
+
+    @pytest.mark.parametrize("shape", list(SHAPES.values()), ids=list(SHAPES))
+    @pytest.mark.parametrize("name", ["Orbium", "s7"])
+    def test_bitwise_equal_to_plain_formula(self, name, shape):
+        rng = np.random.default_rng(11)
+        rule = load_preset(name)
+        for state in (
+            rng.random(shape),
+            np.where(rng.random(shape) < 0.5, 0.0, rng.random(shape)),
+            rng.uniform(-0.5, 1.5, shape),  # outside [0, 1]
+        ):
+            got = step(state, rule)
+            assert got.shape == state.shape
+            assert got.tobytes() == plain_step(state, rule).tobytes()
+
+    @pytest.mark.parametrize("backend", ["fft", "direct"])
+    @pytest.mark.parametrize("name", ["Orbium", "s7"])
+    def test_noncontiguous_input(self, name, backend):
+        state = noncontiguous_batch(np.random.default_rng(12))
+        assert not state.flags.c_contiguous and not state.flags.f_contiguous
+        rule = load_preset(name)
+        got = step(state, rule, backend)
+        assert got.tobytes() == plain_step(state, rule, backend).tobytes()
+        assert np.array_equal(got, step(np.ascontiguousarray(state), rule, backend))
+
+    def test_chained_steps_match(self):
+        rule = load_preset("s613")
+        a = b = np.random.default_rng(13).random((5, 64, 64))
+        for _ in range(5):
+            a, b = step(a, rule), plain_step(b, rule)
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("dt", [0.0, 0.1])
+    @pytest.mark.parametrize("framework", ["lenia", "glaberish"])
+    def test_input_unchanged_writeable_and_not_shared(self, framework, dt):
+        if framework == "lenia":
+            rule = lenia_rule(0.15, 0.015, dt=dt)
+        else:
+            rule = glaberish_rule((0.05, 0.01), (0.25, 0.03), dt=dt)
+        for state in (
+            np.random.default_rng(14).uniform(-0.5, 1.5, (5, 64, 64)),
+            noncontiguous_batch(np.random.default_rng(15)),
+        ):
+            before = state.copy()
+            out = step(state, rule)
+            assert np.array_equal(state, before)
+            assert state.flags.writeable and out.flags.writeable
+            assert not np.shares_memory(out, state)
 
 
 class TestRun:
