@@ -21,8 +21,8 @@ from .config import (
     SimulateConfig,
     load_config_file,
 )
-from .grid import centered_patch_state, place_centered, substream
-from .halting import evolve_rules
+from .grid import BACKENDS, centered_patch_state, place_centered, substream
+from .halting import check_mode, evolve_rules
 from .io import (
     load_pattern,
     load_rule,
@@ -184,6 +184,10 @@ def _cmd_evolve_ca(args) -> int:
             ("fitness", "backend", args.backend),
         ],
     )
+    try:
+        check_mode(args.mode, cfg.fitness)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result = evolve_rules(args.mode, cfg, args.seed, workers=args.workers)
@@ -288,7 +292,7 @@ def _add_common(parser, *, seed=0, out="."):
                         help="output directory (default %(default)s)")
     parser.add_argument("--config", default=None, metavar="FILE",
                         help="JSON config file; flags override its keys")
-    parser.add_argument("--backend", choices=["auto", "fft", "direct"],
+    parser.add_argument("--backend", choices=BACKENDS,
                         default=None, help="convolution backend")
 
 
@@ -365,7 +369,7 @@ def build_parser() -> _Parser:
                    help="seed for the demo tile (default %(default)s)")
     p.add_argument("--out", default=".",
                    help="output directory (default %(default)s)")
-    p.add_argument("--backend", choices=["auto", "fft", "direct"],
+    p.add_argument("--backend", choices=BACKENDS,
                    default="auto")
     p.add_argument("--grid-side", type=int, default=128)
     p.add_argument("--steps", type=int, default=256)

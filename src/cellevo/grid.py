@@ -4,7 +4,10 @@ States are float64 arrays of shape (..., H, W); leading axes batch
 independent grids through every operation here. Convolution wraps at the
 edges (torus) and is available as an exact shift-and-add sum or as an
 FFT product, which must agree to tight tolerance. The FFT path is the
-library's; the shift-and-add sum is the slow reference.
+library's: numpy's rfft2 and irfft2 split into their 1-D transforms
+(rows, columns, spectrum product, columns, rows), so the column passes
+work in place on one complex buffer. The shift-and-add sum is the slow
+reference.
 """
 from __future__ import annotations
 
@@ -94,10 +97,13 @@ def convolve(state: np.ndarray, kernel: Kernel, backend: str = "auto") -> np.nda
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
     if backend != "direct":
-        shape = state.shape[-2:]
-        spec = np.fft.rfft2(state, axes=(-2, -1))
-        np.multiply(spec, kernel.spectrum(shape), out=spec)
-        return np.fft.irfft2(spec, s=shape, axes=(-2, -1))
+        # The 1-D transforms numpy's rfft2/irfft2 run, in their order, so
+        # the bits are theirs; only the buffers differ.
+        spec = np.fft.rfft(state, axis=-1)
+        np.fft.fft(spec, axis=-2, out=spec)
+        np.multiply(spec, kernel.spectrum(state.shape[-2:]), out=spec)
+        np.fft.ifft(spec, axis=-2, out=spec)
+        return np.fft.irfft(spec, n=state.shape[-1], axis=-1)
     # Shift-and-add reference path: exact modular indexing via np.roll.
     out = np.zeros_like(state)
     r = kernel.radius

@@ -192,6 +192,17 @@ class EvolveCaResult:
     evaluations: int
 
 
+def check_mode(mode: str, fitness: HaltingFitnessConfig) -> None:
+    """Reject a mode the fitness config cannot run, before any work starts."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    if mode == "predictor" and fitness.grid_side % pred.INPUT_SIDE:
+        raise ValueError(
+            f"grid_side {fitness.grid_side} must be a multiple of"
+            f" {pred.INPUT_SIDE} in predictor mode"
+        )
+
+
 def _evaluate(args) -> float:
     """Worker for one candidate: its fitness, which may be non-finite."""
     raw, mode, cfg, eval_seed, fitness_fn = args
@@ -240,8 +251,7 @@ def evolve_rules(
     (used for landscape tests). A non-finite fitness is ranked as -1, the
     worst, and counted in its generation's history entry as n_nonfinite.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    check_mode(mode, cfg.fitness)
     popsize = cfg.popsize if cfg.popsize else None
     es = None
     if mode in ("simple", "predictor"):

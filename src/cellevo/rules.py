@@ -51,12 +51,16 @@ def _growth(bump: GrowthBump, n: np.ndarray, out: np.ndarray) -> np.ndarray:
 
     z z (-1/2) and the textbook (-z/2) z round identically wherever exp
     does not return exactly 0 or 1, and this order needs no second buffer.
-    `out` may be `n` itself.
+    The exponent is floored at -50: 2 exp(x) - 1 rounds to exactly -1 for
+    every x <= -39, and exp is 10-90 times slower per element where its
+    result is subnormal or underflows (x below about -708), as it is for
+    most cells under a narrow bump. `out` may be `n` itself.
     """
     np.subtract(n, bump.mu, out=out)
     out /= bump.sigma
     np.multiply(out, out, out=out)
     out *= -0.5
+    np.maximum(out, -50.0, out=out)
     np.exp(out, out=out)
     out *= 2.0
     out -= 1.0

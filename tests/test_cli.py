@@ -182,6 +182,40 @@ def test_workers_below_one_is_usage_error(tmp_path, argv, workers, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["simulate", "--steps", "1"], {"backend": "bogus"}),
+        (EVOLVE_CA, {"fitness": {"backend": "bogus"}}),
+        (EVOLVE_PATTERN, {"backend": "bogus"}),
+        (["metrics", "--n-grids", "1", "--window", "1"], {"backend": "bogus"}),
+    ],
+    ids=["simulate", "evolve-ca", "evolve-pattern", "metrics"],
+)
+def test_config_backend_is_validated(tmp_path, argv, config, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 1
+    assert "backend 'bogus'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+class TestPredictorGridSide:
+    ARGS = ["evolve-ca", "--generations", "1", "--popsize", "2", "--n-grids", "4",
+            "--grid-side", "48", "--horizon", "2", "--epochs", "1"]
+
+    def test_predictor_mode_rejects_side_not_multiple_of_32(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main([*self.ARGS, "--mode", "predictor", "--out", str(out)]) == 1
+        assert "grid_side 48" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_simple_mode_accepts_side_48(self, tmp_path, capsys):
+        assert main([*self.ARGS, "--mode", "simple", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "best_rule.json").exists()
+
+
 class TestMetrics:
     ARGS = ["metrics", "--rule", "Orbium", "--n-grids", "4", "--grid-side",
             "32", "--patch-side", "8", "--box-side", "16", "--window", "4"]

@@ -153,6 +153,31 @@ class TestConvolve:
         batch = rng.random((3, 48, 48))
         assert np.array_equal(convolve(batch, k), convolve(batch, k, "fft"))
 
+    @pytest.mark.parametrize(
+        "make_state",
+        [
+            lambda rng: rng.random((40, 40)),
+            lambda rng: rng.random((2, 3, 40, 40)),
+            lambda rng: rng.random((4, 41, 40)),  # odd height
+            lambda rng: rng.random((3, 40, 39)),  # odd width
+            lambda rng: rng.random((40, 37)),  # odd width, unbatched
+            lambda rng: rng.random((6, 80, 81))[::2, ::2, 1::2],  # strided
+            lambda rng: rng.random((3, 39, 40)).transpose(0, 2, 1),  # transposed
+        ],
+        ids=["2d", "batched", "odd_height", "odd_width", "odd_width_2d",
+             "strided", "transposed"],
+    )
+    def test_fft_bitwise_equal_to_rfft2_irfft2(self, make_state):
+        rng = np.random.default_rng(77)
+        state = make_state(rng)
+        for k in (random_kernel(rng, 3), random_kernel(rng, 18)):
+            shape = state.shape[-2:]
+            spec = np.fft.rfft2(state, axes=(-2, -1)) * k.spectrum(shape)
+            expected = np.fft.irfft2(spec, s=shape, axes=(-2, -1))
+            got = convolve(state, k, "fft")
+            assert got.shape == state.shape
+            assert got.tobytes() == expected.tobytes()
+
 
 class TestHelpers:
     def test_block_mean_oracle(self):

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import cellevo.predictor as predictor
+from cellevo.grid import substream
 from cellevo.predictor import (
     PARAM_COUNT,
     PredictorWeights,
@@ -153,6 +155,82 @@ class TestGradients:
         stepped = PredictorWeights.unpack(w.pack() - 0.1 * g)
         loss1, _ = loss_and_grads(stepped, x, y)
         assert loss1 < loss0
+
+
+def col2im_input_grad(gz, w, shape):
+    """The conv2 input gradient as one (B*h*w, C*9) matmul plus a col2im scatter-add."""
+    n, h, wd, c = shape
+    gcols = gz.reshape(-1, len(w)) @ w.reshape(len(w), -1)
+    gwin = gcols.reshape(n, h - 2, wd - 2, c, 3, 3)
+    gx = np.zeros(shape)
+    for u in range(3):
+        for v in range(3):
+            gx[:, u : u + h - 2, v : v + wd - 2] += gwin[..., u, v]
+    return gx
+
+
+def per_batch_train(grids, labels, *, epochs, seed, batch_size, split=0.75,
+                    lr=0.05, momentum=0.9):
+    """`train`'s SGD loop with every batch's windows copied from its grids."""
+    x, y = np.asarray(grids, dtype=np.float64), np.asarray(labels, dtype=np.float64)
+    rng = substream(seed)
+    n_train = int(len(x) * split)
+    train_idx = rng.permutation(len(x))[:n_train]
+    flat = init_weights(rng).pack()
+    velocity = np.zeros_like(flat)
+    for _ in range(epochs):
+        order = train_idx[rng.permutation(n_train)]
+        for lo in range(0, n_train, batch_size):
+            batch = order[lo : lo + batch_size]
+            _, g = loss_and_grads(PredictorWeights.unpack(flat), x[batch], y[batch])
+            velocity = momentum * velocity - lr * g
+            flat = flat + velocity
+    return flat
+
+
+class TestBitwiseFastPaths:
+    """The reused conv1 windows and the stacked conv2 input gradient change no bit."""
+
+    @pytest.mark.parametrize("batch_size", [5, 6, 16])
+    def test_train_equals_per_batch_windows(self, batch_size):
+        rng = np.random.default_rng(40 + batch_size)
+        grids = rng.random((44, 32, 32))
+        labels = rng.random(44) < 0.5
+        got = train(grids, labels, epochs=2, seed=batch_size, batch_size=batch_size)
+        expected = per_batch_train(grids, labels, epochs=2, seed=batch_size,
+                                   batch_size=batch_size)
+        assert got.weights.pack().tobytes() == expected.tobytes()
+
+    def test_loss_and_grads_accepts_gathered_windows(self):
+        rng = np.random.default_rng(41)
+        w = init_weights(rng)
+        grids = rng.random((12, 32, 32))
+        y = rng.integers(0, 2, 5).astype(float)
+        rows = np.array([7, 2, 11, 2, 0])
+        cols = predictor._windows(grids)
+        assert cols.shape == (12, 30, 30, 9)
+        loss_a, g_a = loss_and_grads(w, cols[rows], y)
+        loss_b, g_b = loss_and_grads(w, grids[rows], y)
+        assert loss_a == loss_b and g_a.tobytes() == g_b.tobytes()
+
+    @pytest.mark.parametrize("batch", [1, 5, 16])
+    def test_conv2_input_grad_equals_col2im(self, batch):
+        rng = np.random.default_rng(42)
+        w = rng.normal(size=(8, 8, 3, 3))
+        gz = rng.normal(size=(batch, 13, 13, 8))
+        shape = (batch, 15, 15, 8)
+        got = predictor._conv_input_grad(gz, w, shape)
+        assert got.tobytes() == col2im_input_grad(gz, w, shape).tobytes()
+
+    def test_bias_grad_equals_row_sum(self):
+        rng = np.random.default_rng(43)
+        w = rng.normal(size=(8, 1, 3, 3))
+        cols = rng.normal(size=(6, 30, 30, 9))
+        # Magnitudes spread over 16 decades, so any other summation order rounds.
+        shape = (6, 30, 30, 8)
+        gz = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, shape)
+        _, g_b = predictor._conv_param_grads(cols, w, gz)
+        assert g_b.tobytes() == gz.reshape(-1, 8).sum(axis=0).tobytes()
 
 
 class TestInputSafety:

@@ -114,6 +114,19 @@ class TestGrowthValue:
                 got = growth_value(GrowthBump(mu, sigma), n)
             assert got.tobytes() == expected.tobytes()
 
+    def test_bitwise_equal_to_textbook_across_exponent_range(self):
+        # Exponents -z^2/2 from 0 down to -1e6, densely through the band where
+        # 2 exp(x) - 1 reaches -1 and the band where exp goes subnormal.
+        exponents = -np.concatenate([
+            np.linspace(0.0, 60.0, 6001),
+            np.linspace(700.0, 750.0, 5001),
+            np.geomspace(1.0, 1e6, 2000),
+        ])
+        bump = GrowthBump(0.3, 0.02)
+        n = bump.mu + bump.sigma * np.sqrt(-2.0 * exponents)
+        for x in (n, 2 * bump.mu - n):
+            assert growth_value(bump, x).tobytes() == textbook_growth(bump, x).tobytes()
+
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError, match="sigma"):
             GrowthBump(0.1, 0.0)
@@ -268,6 +281,13 @@ class TestStep:
         assert load_preset("s613").zero_is_absorbing()
 
 
+def textbook_growth(bump, n):
+    """2 exp(-z^2 / 2) - 1 on whole arrays, with no floor on the exponent."""
+    z = (np.asarray(n, dtype=np.float64) - bump.mu) / bump.sigma
+    with np.errstate(over="ignore", under="ignore"):
+        return 2.0 * np.exp(-0.5 * z * z) - 1.0
+
+
 def plain_step(state, rule, backend="auto"):
     """The update evaluated on whole arrays, one temporary per operation."""
     state = np.asarray(state, dtype=np.float64)
@@ -334,6 +354,22 @@ class TestBlockedStep:
         a = b = np.random.default_rng(13).random((5, 64, 64))
         for _ in range(5):
             a, b = step(a, rule), plain_step(b, rule)
+            assert a.tobytes() == b.tobytes()
+
+    def test_chained_steps_match_textbook_growth_under_narrow_bumps(self):
+        # Genome (0, -4, 0, -4): sigma about 0.0065, so most cells' exponents
+        # lie far below the point where exp underflows.
+        sigma = 0.001 + 0.299 / (1.0 + math.exp(4.0))
+        rule = glaberish_rule((0.5, sigma), (0.5, sigma), kernel=NATANS_KERNEL)
+        rng = np.random.default_rng(16)
+        a = b = np.stack([centered_patch_state(64, 32, rng) for _ in range(3)])
+        for _ in range(20):
+            a = step(a, rule)
+            n = convolve(b, build_kernel(rule.kernel))
+            delta = (1 - b) * textbook_growth(rule.genesis, n) + b * textbook_growth(
+                rule.persistence, n
+            )
+            b = np.clip(b + rule.dt * delta, 0, 1)
             assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("dt", [0.0, 0.1])
