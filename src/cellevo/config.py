@@ -11,16 +11,11 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .grid import BACKENDS
+from .grid import check_backend
 from .rules import KernelSpec, kernel_from_dict
 
 # Kernel used when evolving new rules (the wide three-ring neighborhood).
 DEFAULT_EVO_KERNEL = KernelSpec(radius=18, ring_weights=(0.5, 1.0, 0.667))
-
-
-def _check_backend(backend: str) -> None:
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
 
 
 class _FromDict:
@@ -59,7 +54,7 @@ class SimulateConfig(_FromDict):
             raise ValueError("patch_side must lie in [0, side]")
         if self.frames_every < 0:
             raise ValueError("frames_every must be nonnegative")
-        _check_backend(self.backend)
+        check_backend(self.backend)
 
     @property
     def effective_patch(self) -> int:
@@ -91,7 +86,7 @@ class HaltingFitnessConfig(_FromDict):
             raise ValueError("n_predictors must be at least 1")
         if not 0.0 < self.split < 1.0:
             raise ValueError("split must lie strictly between 0 and 1")
-        _check_backend(self.backend)
+        check_backend(self.backend)
 
     @property
     def effective_patch(self) -> int:
@@ -153,7 +148,7 @@ class PatternEvoConfig(_FromDict):
             raise ValueError("steps must be at least 1")
         if not 1 <= self.stride <= self.steps:
             raise ValueError("stride must lie in [1, steps]")
-        _check_backend(self.backend)
+        check_backend(self.backend)
 
     def effective_tile(self, kernel_radius: int) -> int:
         return self.tile_side if self.tile_side else 4 * kernel_radius
@@ -179,7 +174,7 @@ class MetricsConfig(_FromDict):
             raise ValueError("patch_side must fit the grid")
         if not 0 < self.box_side < self.grid_side:
             raise ValueError("box_side must be strictly inside the grid")
-        _check_backend(self.backend)
+        check_backend(self.backend)
 
 
 def load_config_file(path) -> dict:

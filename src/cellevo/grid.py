@@ -18,6 +18,12 @@ import numpy as np
 BACKENDS = ("auto", "fft", "direct")
 
 
+def check_backend(backend: str) -> None:
+    """Raise ValueError unless `backend` names a convolution backend."""
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
+
+
 def radial_distances(radius: int) -> np.ndarray:
     """Euclidean distance from the center cell for a (2R+1)^2 stencil."""
     ax = np.arange(-radius, radius + 1, dtype=np.float64)
@@ -94,11 +100,10 @@ def convolve(state: np.ndarray, kernel: Kernel, backend: str = "auto") -> np.nda
     if state.ndim < 2:
         raise ValueError("state must have at least 2 dimensions")
     _check_fits(kernel, state.shape)
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
+    check_backend(backend)
     if backend != "direct":
         # The 1-D transforms numpy's rfft2/irfft2 run, in their order, so
-        # the bits are theirs; only the buffers differ.
+        # the bits are theirs; only the buffers differ (`out=` needs numpy 2).
         spec = np.fft.rfft(state, axis=-1)
         np.fft.fft(spec, axis=-2, out=spec)
         np.multiply(spec, kernel.spectrum(state.shape[-2:]), out=spec)

@@ -120,11 +120,6 @@ def _conv_input_grad(gz, w, shape):
     return gx
 
 
-def _windows(x: np.ndarray) -> np.ndarray:
-    """conv1 windows (B, 30, 30, 9) of inputs x (B, 32, 32); windows pass through."""
-    return x if x.ndim == 4 else _im2col(x[..., None])
-
-
 def _forward(w: PredictorWeights, cols1: np.ndarray) -> dict:
     """cols1: conv1 windows (B, 30, 30, 9). Returns every intermediate for backprop."""
     a1 = np.tanh(_conv(cols1, w.conv1_w, w.conv1_b))
@@ -159,16 +154,24 @@ def sigmoid(z):
 
 
 def predict_batch(w: PredictorWeights, grids: np.ndarray) -> np.ndarray:
-    return sigmoid(_forward(w, _windows(_pool_input(grids)))["logit"])
+    return sigmoid(_forward(w, _im2col(_pool_input(grids)[..., None]))["logit"])
 
 
 def loss_and_grads(w: PredictorWeights, grids, labels):
     """Mean binary cross-entropy and its gradient, packed to (673,).
 
     grids: (B, 32, 32), or their conv1 windows (B, 30, 30, 9) as `train`
-    gathers them; labels: (B,) in {0, 1}.
+    gathers them; any other shape is rejected. labels: (B,) in {0, 1}.
     """
-    x = _windows(np.asarray(grids, dtype=np.float64))
+    x = np.asarray(grids, dtype=np.float64)
+    side = INPUT_SIDE - 2
+    if x.shape[1:] == (INPUT_SIDE, INPUT_SIDE):
+        x = _im2col(x[..., None])
+    elif x.shape[1:] != (side, side, 9):
+        raise ValueError(
+            f"expected grids (B, {INPUT_SIDE}, {INPUT_SIDE}) or conv1 windows"
+            f" (B, {side}, {side}, 9), got shape {x.shape}"
+        )
     y = np.asarray(labels, dtype=np.float64)
     batch = x.shape[0]
     cache = _forward(w, x)
@@ -252,7 +255,7 @@ def train(
 
     flat = init_weights(rng).pack()
     velocity = np.zeros_like(flat)
-    cols, y_train = _windows(x[train_idx]), y[train_idx]
+    cols, y_train = _im2col(x[train_idx][..., None]), y[train_idx]
     for _ in range(epochs):
         order = rng.permutation(n_train)
         for lo in range(0, n_train, batch_size):
