@@ -8,7 +8,6 @@ deterministic given the master --seed (no timestamps, no global RNG).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -32,9 +31,10 @@ from .io import (
     save_pattern,
     save_rule,
     write_frames,
+    write_json,
 )
 from .metrics import CSV_HEADER, compute_metrics
-from .patterns import evolve_patterns, random_genome, synthesize
+from .patterns import check_tile, evolve_patterns, random_genome, synthesize
 from .rules import load_preset, preset_names, step, trajectory
 
 
@@ -63,30 +63,51 @@ def _require_positive(flag: str, value: int) -> None:
         raise _UsageError(f"{flag} must be at least 1, got {value}")
 
 
-def _build_config(cls, config_path, overrides, nested=()):
-    """Overlay non-None CLI overrides on top of an optional JSON config file.
+# The config-backed flags of each subcommand: its config class and the
+# fields that get a flag. "fitness." marks a field of evolve-ca's nested
+# fitness section. Flag --patch-side sets field patch_side, and its type is
+# the type of the field's default.
+_CONFIG_FLAGS = {
+    "simulate": (SimulateConfig, ("backend", "side", "steps", "init",
+                                  "patch_side", "frames_every")),
+    "evolve-ca": (EvolveCaConfig, (
+        "fitness.backend", "generations", "popsize", "sigma0", "dt",
+        "fitness.n_grids", "fitness.grid_side", "fitness.horizon",
+        "fitness.epochs")),
+    "evolve-pattern": (PatternEvoConfig, ("backend", "grid_side", "tile_side",
+                                          "steps", "population",
+                                          "generations")),
+    "metrics": (MetricsConfig, ("backend", "n_grids", "grid_side",
+                                "patch_side", "box_side", "window")),
+}
+_FLAG_HELP = {
+    "backend": "convolution backend",
+    "fitness.backend": "convolution backend",
+    "fitness.n_grids": "halting dataset size per candidate",
+    "frames_every": "write a PGM frame every K steps (0 = no frames)",
+}
 
-    `nested` lists (section, key, value) triples overlaid into sub-dicts,
-    e.g. evolve-ca fitness settings.
+
+def _build_config(args):
+    """Overlay the given config-backed flags on the optional --config file.
+
+    A fitness flag replaces one key of the file's fitness section and
+    keeps the others.
     """
+    cls, names = _CONFIG_FLAGS[args.command]
     try:
-        base = dict(load_config_file(config_path)) if config_path else {}
-        for key, value in overrides.items():
+        data = dict(load_config_file(args.config)) if args.config else {}
+        for name in names:
+            section, _, key = name.rpartition(".")
+            value = getattr(args, key)
             if value is not None:
-                base[key] = value
-        for section, key, value in nested:
-            if value is not None:
-                sub = dict(base.get(section, {}))
-                sub[key] = value
-                base[section] = sub
-        return cls.from_dict(base)
+                target = data
+                if section:
+                    target = data[section] = dict(data.get(section, {}))
+                target[key] = value
+        return cls.from_dict(data)
     except (KeyError, ValueError, OSError) as exc:
         raise _UsageError(str(exc)) from exc
-
-
-def _write_json(data, path: Path) -> Path:
-    path.write_text(json.dumps(data, indent=2) + "\n")
-    return path
 
 
 def _frame_run(state, rule, steps, every, backend):
@@ -118,18 +139,7 @@ def _cmd_presets(args) -> int:
 
 def _cmd_simulate(args) -> int:
     rule = _resolve_rule(args)
-    cfg = _build_config(
-        SimulateConfig,
-        args.config,
-        {
-            "side": args.side,
-            "steps": args.steps,
-            "init": args.init,
-            "patch_side": args.patch_side,
-            "backend": args.backend,
-            "frames_every": args.frames_every,
-        },
-    )
+    cfg = _build_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rng = substream(args.seed, 0)
@@ -157,7 +167,7 @@ def _cmd_simulate(args) -> int:
         "means": means,
         "maxes": maxes,
     }
-    path = _write_json(summary, out / "summary.json")
+    path = write_json(summary, out / "summary.json")
     print(
         f"{rule.name}: {cfg.steps} steps, final mean {summary['final_mean']:.6g},"
         f" final max {summary['final_max']:.6g} -> {path}"
@@ -167,23 +177,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_evolve_ca(args) -> int:
     _require_positive("--workers", args.workers)
-    cfg = _build_config(
-        EvolveCaConfig,
-        args.config,
-        {
-            "generations": args.generations,
-            "popsize": args.popsize,
-            "sigma0": args.sigma0,
-            "dt": args.dt,
-        },
-        nested=[
-            ("fitness", "n_grids", args.n_grids),
-            ("fitness", "grid_side", args.grid_side),
-            ("fitness", "horizon", args.horizon),
-            ("fitness", "epochs", args.epochs),
-            ("fitness", "backend", args.backend),
-        ],
-    )
+    cfg = _build_config(args)
     try:
         check_mode(args.mode, cfg.fitness)
     except ValueError as exc:
@@ -203,18 +197,11 @@ def _cmd_evolve_ca(args) -> int:
 def _cmd_evolve_pattern(args) -> int:
     _require_positive("--workers", args.workers)
     rule = _resolve_rule(args)
-    cfg = _build_config(
-        PatternEvoConfig,
-        args.config,
-        {
-            "grid_side": args.grid_side,
-            "tile_side": args.tile_side,
-            "steps": args.steps,
-            "population": args.population,
-            "generations": args.generations,
-            "backend": args.backend,
-        },
-    )
+    cfg = _build_config(args)
+    try:
+        check_tile(rule, cfg)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result = evolve_patterns(rule, cfg, args.seed, workers=args.workers)
@@ -238,18 +225,7 @@ def _cmd_evolve_pattern(args) -> int:
 
 def _cmd_metrics(args) -> int:
     rule = _resolve_rule(args)
-    cfg = _build_config(
-        MetricsConfig,
-        args.config,
-        {
-            "n_grids": args.n_grids,
-            "grid_side": args.grid_side,
-            "patch_side": args.patch_side,
-            "box_side": args.box_side,
-            "window": args.window,
-            "backend": args.backend,
-        },
-    )
+    cfg = _build_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report = compute_metrics(rule, cfg, args.seed)
@@ -285,15 +261,22 @@ def _cmd_render(args) -> int:
     return 0
 
 
-def _add_common(parser, *, seed=0, out="."):
-    parser.add_argument("--seed", type=int, default=seed,
+def _add_common(parser, command):
+    """--seed, --out, --config and one flag per config field of `command`."""
+    parser.add_argument("--seed", type=int, default=0,
                         help="master RNG seed (default %(default)s)")
-    parser.add_argument("--out", default=out,
+    parser.add_argument("--out", default=".",
                         help="output directory (default %(default)s)")
     parser.add_argument("--config", default=None, metavar="FILE",
                         help="JSON config file; flags override its keys")
-    parser.add_argument("--backend", choices=BACKENDS,
-                        default=None, help="convolution backend")
+    cls, names = _CONFIG_FLAGS[command]
+    defaults = cls()
+    for name in names:
+        default = defaults
+        for part in name.split("."):
+            default = getattr(default, part)
+        parser.add_argument("--" + part.replace("_", "-"), type=type(default),
+                            default=None, help=_FLAG_HELP.get(name))
 
 
 def _add_rule_args(parser):
@@ -313,52 +296,27 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="run one grid and write summaries")
     _add_rule_args(p)
-    _add_common(p)
-    p.add_argument("--side", type=int, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--init", choices=["patch", "uniform"], default=None)
-    p.add_argument("--patch-side", type=int, default=None)
-    p.add_argument("--frames-every", type=int, default=None,
-                   help="write a PGM frame every K steps (0 = no frames)")
+    _add_common(p, "simulate")
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("evolve-ca", help="evolve rule parameters for "
                                          "halting unpredictability")
-    _add_common(p)
+    _add_common(p, "evolve-ca")
     p.add_argument("--mode", choices=["simple", "predictor", "random"],
                    default="simple")
-    p.add_argument("--generations", type=int, default=None)
-    p.add_argument("--popsize", type=int, default=None)
-    p.add_argument("--sigma0", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--n-grids", type=int, default=None,
-                   help="halting dataset size per candidate")
-    p.add_argument("--grid-side", type=int, default=None)
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(handler=_cmd_evolve_ca)
 
     p = sub.add_parser("evolve-pattern", help="evolve synthesis tiles under "
                                               "a fixed rule")
     _add_rule_args(p)
-    _add_common(p)
-    p.add_argument("--grid-side", type=int, default=None)
-    p.add_argument("--tile-side", type=int, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--population", type=int, default=None)
-    p.add_argument("--generations", type=int, default=None)
+    _add_common(p, "evolve-pattern")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(handler=_cmd_evolve_pattern)
 
     p = sub.add_parser("metrics", help="fertility/mortality over seeded grids")
     _add_rule_args(p)
-    _add_common(p)
-    p.add_argument("--n-grids", type=int, default=None)
-    p.add_argument("--grid-side", type=int, default=None)
-    p.add_argument("--patch-side", type=int, default=None)
-    p.add_argument("--box-side", type=int, default=None)
-    p.add_argument("--window", type=int, default=None)
+    _add_common(p, "metrics")
     p.set_defaults(handler=_cmd_metrics)
 
     p = sub.add_parser("render", help="write PGM frames for a stored pattern")

@@ -14,6 +14,11 @@ import numpy as np
 EIGEN_FLOOR = 1e-20
 
 
+def default_popsize(dim: int) -> int:
+    """The standard population size for a `dim`-dimensional search."""
+    return 4 + int(3 * math.log(dim))
+
+
 class CmaEs:
     """Ask/tell optimizer state. Higher fitness is better.
 
@@ -32,7 +37,7 @@ class CmaEs:
         if not (math.isfinite(sigma0) and sigma0 > 0):
             raise ValueError("sigma0 must be positive")
         d = x0.size
-        lam = 4 + int(3 * math.log(d)) if popsize is None else int(popsize)
+        lam = default_popsize(d) if popsize is None else int(popsize)
         if lam < 2:
             raise ValueError("population size must be at least 2")
 

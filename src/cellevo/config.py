@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .grid import check_backend
-from .rules import KernelSpec, kernel_from_dict
+from .rules import KernelSpec, _require_keys, kernel_from_dict
 
 # Kernel used when evolving new rules (the wide three-ring neighborhood).
 DEFAULT_EVO_KERNEL = KernelSpec(radius=18, ring_weights=(0.5, 1.0, 0.667))
@@ -26,9 +26,7 @@ class _FromDict:
     @classmethod
     def from_dict(cls, data: dict):
         allowed = {f.name for f in dataclasses.fields(cls)}
-        for key in data:
-            if key not in allowed:
-                raise ValueError(f"unknown {cls.section} key {key!r}")
+        _require_keys(data, allowed, set(), cls.section)
         return cls(**data)
 
 
@@ -88,10 +86,6 @@ class HaltingFitnessConfig(_FromDict):
             raise ValueError("split must lie strictly between 0 and 1")
         check_backend(self.backend)
 
-    @property
-    def effective_patch(self) -> int:
-        return self.patch_side if self.patch_side else self.grid_side // 2
-
 
 @dataclass(frozen=True)
 class EvolveCaConfig(_FromDict):
@@ -116,6 +110,9 @@ class EvolveCaConfig(_FromDict):
         if "kernel" in kwargs:
             kwargs["kernel"] = kernel_from_dict(kwargs["kernel"])
         if "fitness" in kwargs:
+            if "seed" in kwargs["fitness"]:
+                raise ValueError("fitness key 'seed' is not allowed: each"
+                                 " candidate's seed derives from --seed")
             kwargs["fitness"] = HaltingFitnessConfig.from_dict(kwargs["fitness"])
         return super().from_dict(kwargs)
 
@@ -149,9 +146,6 @@ class PatternEvoConfig(_FromDict):
         if not 1 <= self.stride <= self.steps:
             raise ValueError("stride must lie in [1, steps]")
         check_backend(self.backend)
-
-    def effective_tile(self, kernel_radius: int) -> int:
-        return self.tile_side if self.tile_side else 4 * kernel_radius
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import predictor as pred
-from .cmaes import CmaEs
+from .cmaes import CmaEs, default_popsize
 from .config import EvolveCaConfig, HaltingFitnessConfig
 from .grid import centered_patch_state, seed_path, substream
 from .parallel import parallel_map, worker_pool
@@ -84,8 +84,9 @@ def balance_fitness(active_fraction: float) -> float:
     return -((active_fraction - 0.5) ** 2)
 
 
-def simple_fitness(rule: RuleParams, cfg: HaltingFitnessConfig) -> float:
-    ds = generate_dataset(
+def _fitness_dataset(rule: RuleParams, cfg: HaltingFitnessConfig) -> HaltingDataset:
+    """The dataset a fitness evaluation scores, from the (cfg.seed, 0) stream."""
+    return generate_dataset(
         rule,
         cfg.n_grids,
         cfg.grid_side,
@@ -94,6 +95,10 @@ def simple_fitness(rule: RuleParams, cfg: HaltingFitnessConfig) -> float:
         patch_side=cfg.patch_side,
         backend=cfg.backend,
     )
+
+
+def simple_fitness(rule: RuleParams, cfg: HaltingFitnessConfig) -> float:
+    ds = _fitness_dataset(rule, cfg)
     return balance_fitness(float(ds.labels.mean()))
 
 
@@ -122,16 +127,7 @@ def predictor_fitness_from_dataset(
 
 
 def predictor_fitness(rule: RuleParams, cfg: HaltingFitnessConfig) -> float:
-    ds = generate_dataset(
-        rule,
-        cfg.n_grids,
-        cfg.grid_side,
-        cfg.horizon,
-        seed_path(cfg.seed, 0),
-        patch_side=cfg.patch_side,
-        backend=cfg.backend,
-    )
-    return predictor_fitness_from_dataset(ds, cfg)
+    return predictor_fitness_from_dataset(_fitness_dataset(rule, cfg), cfg)
 
 
 # --- genome mapping ----------------------------------------------------------
@@ -252,18 +248,15 @@ def evolve_rules(
     worst, and counted in its generation's history entry as n_nonfinite.
     """
     check_mode(mode, cfg.fitness)
-    popsize = cfg.popsize if cfg.popsize else None
+    lam = cfg.popsize or default_popsize(GENOME_DIM)
     es = None
     if mode in ("simple", "predictor"):
         es = CmaEs(
             np.zeros(GENOME_DIM),
             cfg.sigma0,
             seed=list(seed_path(seed, 0)),
-            popsize=popsize,
+            popsize=lam,
         )
-        lam = es.popsize
-    else:
-        lam = popsize or 4 + int(3 * np.log(GENOME_DIM))
 
     history: list[dict] = []
     best_raw = None

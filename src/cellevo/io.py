@@ -13,15 +13,20 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .metrics import CSV_HEADER, MetricsReport
-from .rules import RuleParams, load_preset, rule_from_dict, rule_to_dict
+from .rules import RuleParams, _require_keys, load_preset, rule_from_dict, rule_to_dict
 
 _PATTERN_KEYS = {"name", "rule", "height", "width", "cells"}
 
 
-def save_rule(rule: RuleParams, path: str | Path) -> Path:
+def write_json(data, path: str | Path) -> Path:
+    """Write `data` as indented JSON with a trailing newline."""
     path = Path(path)
-    path.write_text(json.dumps(rule_to_dict(rule), indent=2) + "\n")
+    path.write_text(json.dumps(data, indent=2) + "\n")
     return path
+
+
+def save_rule(rule: RuleParams, path: str | Path) -> Path:
+    return write_json(rule_to_dict(rule), path)
 
 
 def load_rule(path: str | Path) -> RuleParams:
@@ -82,21 +87,14 @@ def save_pattern(
         "width": int(tile.shape[1]),
         "cells": [float(v) for v in tile.ravel()],
     }
-    path = Path(path)
-    path.write_text(json.dumps(data, indent=2) + "\n")
-    return path
+    return write_json(data, path)
 
 
 def load_pattern(path: str | Path) -> PatternFile:
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object")
-    unknown = set(data) - _PATTERN_KEYS
-    if unknown:
-        raise ValueError(f"unknown pattern field: {sorted(unknown)[0]!r}")
-    missing = _PATTERN_KEYS - set(data)
-    if missing:
-        raise ValueError(f"missing pattern field: {sorted(missing)[0]!r}")
+    _require_keys(data, _PATTERN_KEYS, _PATTERN_KEYS, "pattern")
     height, width = int(data["height"]), int(data["width"])
     if height < 1 or width < 1:
         raise ValueError("pattern height and width must be positive")
@@ -120,9 +118,7 @@ def load_pattern(path: str | Path) -> PatternFile:
 
 
 def save_metrics(report: MetricsReport, path: str | Path) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
-    return path
+    return write_json(report.to_dict(), path)
 
 
 def save_metrics_csv(reports: Sequence[MetricsReport], path: str | Path) -> Path:

@@ -270,6 +270,17 @@ def _evaluate_genomes(
     return [fit for part in parts for fit in part]
 
 
+def check_tile(rule: RuleParams, cfg: PatternEvoConfig) -> int:
+    """The tile side (0 means 4 * kernel radius); reject one the grid cannot hold."""
+    tile_side = cfg.tile_side or 4 * rule.kernel.radius
+    if tile_side > cfg.grid_side:
+        default = "" if cfg.tile_side else f" (4 * kernel radius {rule.kernel.radius})"
+        raise ValueError(
+            f"tile_side {tile_side}{default} does not fit grid_side {cfg.grid_side}"
+        )
+    return tile_side
+
+
 def evolve_patterns(
     rule: RuleParams,
     cfg: PatternEvoConfig,
@@ -282,9 +293,7 @@ def evolve_patterns(
     of re-evaluated. Offspring in slot i of generation g draw parent
     choice and mutation noise from the (seed, g, i) stream.
     """
-    tile_side = cfg.effective_tile(rule.kernel.radius)
-    if tile_side > cfg.grid_side:
-        raise ValueError("tile does not fit the simulation grid")
+    tile_side = check_tile(rule, cfg)
     keep = max(1, round(cfg.population * cfg.truncation))
 
     population = [

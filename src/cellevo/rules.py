@@ -304,7 +304,7 @@ def _require_keys(mapping: dict, allowed: set[str], required: set[str], what: st
     for key in mapping:
         if key not in allowed:
             raise ValueError(f"unknown {what} field {key!r}")
-    for key in required:
+    for key in sorted(required):
         if key not in mapping:
             raise ValueError(f"missing {what} field {key!r}")
 

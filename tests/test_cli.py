@@ -5,6 +5,13 @@ import numpy as np
 import pytest
 
 from cellevo.cli import main
+from cellevo.config import (
+    EvolveCaConfig,
+    HaltingFitnessConfig,
+    MetricsConfig,
+    PatternEvoConfig,
+    SimulateConfig,
+)
 from cellevo.io import load_pattern
 from cellevo.rules import preset_names
 
@@ -271,3 +278,110 @@ class TestRender:
         args = ["render", "--pattern", str(evo / "best_pattern.json"),
                 "--grid-side", "8", "--steps", "1", "--out", str(tmp_path)]
         assert main(args) == 1
+
+
+class _Stop(Exception):
+    """Raised after the config is built, so a test can inspect it without a run."""
+
+
+def _capture_config(monkeypatch, cls):
+    built = []
+    original = cls.from_dict.__func__
+
+    def from_dict(klass, data):
+        built.append(original(klass, data))
+        raise _Stop
+
+    monkeypatch.setattr(cls, "from_dict", classmethod(from_dict))
+    return built
+
+
+class TestConfigFlags:
+    """Each config-backed flag sets the config field of the same name."""
+
+    CASES = [
+        ("simulate", SimulateConfig,
+         ["--side", "64", "--steps", "3", "--init", "uniform",
+          "--patch-side", "8", "--backend", "fft", "--frames-every", "2"],
+         dict(side=64, steps=3, init="uniform", patch_side=8, backend="fft",
+              frames_every=2)),
+        ("evolve-ca", EvolveCaConfig,
+         ["--generations", "3", "--popsize", "4", "--sigma0", "0.25",
+          "--dt", "0.2", "--n-grids", "6", "--grid-side", "40",
+          "--horizon", "5", "--epochs", "2", "--backend", "direct"],
+         dict(generations=3, popsize=4, sigma0=0.25, dt=0.2)),
+        ("evolve-pattern", PatternEvoConfig,
+         ["--grid-side", "64", "--tile-side", "16", "--steps", "8",
+          "--population", "4", "--generations", "2", "--backend", "fft"],
+         dict(grid_side=64, tile_side=16, steps=8, population=4,
+              generations=2, backend="fft")),
+        ("metrics", MetricsConfig,
+         ["--n-grids", "4", "--grid-side", "32", "--patch-side", "8",
+          "--box-side", "16", "--window", "4", "--backend", "direct"],
+         dict(n_grids=4, grid_side=32, patch_side=8, box_side=16, window=4,
+              backend="direct")),
+    ]
+    FITNESS = dict(n_grids=6, grid_side=40, horizon=5, epochs=2,
+                   backend="direct")
+
+    @pytest.mark.parametrize("command, cls, flags, expected", CASES,
+                             ids=[c[0] for c in CASES])
+    def test_flag_sets_field(self, tmp_path, monkeypatch, command, cls, flags,
+                             expected, capsys):
+        built = _capture_config(monkeypatch, cls)
+        out = tmp_path / "out"
+        assert main([command, *flags, "--out", str(out)]) == 2
+        cfg = built[0]
+        for name, value in expected.items():
+            assert getattr(cfg, name) == value, name
+            assert value != getattr(cls(), name), name
+        if cls is EvolveCaConfig:
+            for name, value in self.FITNESS.items():
+                assert getattr(cfg.fitness, name) == value, name
+                assert value != getattr(HaltingFitnessConfig(), name), name
+
+    def test_fitness_flags_merge_into_config_section(self, tmp_path,
+                                                     monkeypatch, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"generations": 4, "fitness": {
+            "n_predictors": 2, "split": 0.5, "horizon": 9, "epochs": 7}}))
+        built = _capture_config(monkeypatch, EvolveCaConfig)
+        argv = ["evolve-ca", "--config", str(cfg_file), "--horizon", "5",
+                "--backend", "fft", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        cfg = built[0]
+        assert cfg.generations == 4
+        assert (cfg.fitness.horizon, cfg.fitness.backend) == (5, "fft")
+        assert (cfg.fitness.n_predictors, cfg.fitness.split) == (2, 0.5)
+        assert cfg.fitness.epochs == 7
+        assert cfg.fitness.n_grids == HaltingFitnessConfig().n_grids
+
+    @pytest.mark.parametrize("flag", ["--init", "--backend"])
+    def test_bad_choice_is_usage_error(self, tmp_path, flag, capsys):
+        out = tmp_path / "out"
+        assert main(["simulate", "--steps", "1", flag, "bogus",
+                     "--out", str(out)]) == 1
+        assert "bogus" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("sizes", [["--grid-side", "32"],
+                                   ["--grid-side", "64", "--tile-side", "80"]],
+                         ids=["default-4R", "explicit"])
+def test_tile_larger_than_grid_is_usage_error(tmp_path, sizes, capsys):
+    out = tmp_path / "out"
+    argv = ["evolve-pattern", "--rule", "Orbium", "--steps", "8", *sizes,
+            "--out", str(out)]
+    assert main(argv) == 1
+    assert "tile_side" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fitness_seed_in_config_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fitness": {"seed": 5}}))
+    out = tmp_path / "out"
+    assert main([*EVOLVE_CA, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "'seed'" in err and "--seed" in err
+    assert not out.exists()

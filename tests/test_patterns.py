@@ -7,6 +7,7 @@ from cellevo.patterns import (
     ACT_NAMES,
     CppnGenome,
     center_of_mass,
+    check_tile,
     evaluate_tile,
     evaluate_tiles,
     evolve_patterns,
@@ -264,6 +265,16 @@ class TestEvolvePatterns:
         )
         res = evolve_patterns(SMALL_RULE, cfg, seed=0)
         assert res.best_tile.shape == (12, 12)  # 4 * radius 3
+
+    @pytest.mark.parametrize("tile_side, grid_side", [(0, 10), (30, 24)],
+                             ids=["default-4R", "explicit"])
+    def test_tile_larger_than_grid_is_rejected(self, tile_side, grid_side):
+        cfg = PatternEvoConfig(grid_side=grid_side, tile_side=tile_side,
+                               steps=4, stride=2, population=2, generations=1)
+        with pytest.raises(ValueError, match="tile_side"):
+            check_tile(SMALL_RULE, cfg)
+        with pytest.raises(ValueError, match="tile_side"):
+            evolve_patterns(SMALL_RULE, cfg, seed=0)
 
     def test_real_preset_smoke(self):
         cfg = PatternEvoConfig(
