@@ -103,7 +103,10 @@ def _build_config(args):
             if value is not None:
                 target = data
                 if section:
-                    target = data[section] = dict(data.get(section, {}))
+                    target = data.get(section, {})
+                    if not isinstance(target, dict):
+                        break  # from_dict rejects the section by name
+                    target = data[section] = dict(target)
                 target[key] = value
         return cls.from_dict(data)
     except (KeyError, ValueError, OSError) as exc:

@@ -25,6 +25,8 @@ class _FromDict:
 
     @classmethod
     def from_dict(cls, data: dict):
+        if not isinstance(data, dict):
+            raise ValueError(f"{cls.section} must be an object")
         allowed = {f.name for f in dataclasses.fields(cls)}
         _require_keys(data, allowed, set(), cls.section)
         return cls(**data)
@@ -110,7 +112,7 @@ class EvolveCaConfig(_FromDict):
         if "kernel" in kwargs:
             kwargs["kernel"] = kernel_from_dict(kwargs["kernel"])
         if "fitness" in kwargs:
-            if "seed" in kwargs["fitness"]:
+            if isinstance(kwargs["fitness"], dict) and "seed" in kwargs["fitness"]:
                 raise ValueError("fitness key 'seed' is not allowed: each"
                                  " candidate's seed derives from --seed")
             kwargs["fitness"] = HaltingFitnessConfig.from_dict(kwargs["fitness"])

@@ -1,12 +1,69 @@
 """Order-preserving maps with optional process-pool fan-out.
 
 Work items carry their own derived seeds, so results are identical for
-any worker count; parallelism only changes wall-clock time.
+any worker count; parallelism only changes wall-clock time. Inside a
+pool block every process runs BLAS on one thread, so the only
+parallelism is the worker processes and the float bits of a matmul do
+not depend on how many workers there are.
 """
 from __future__ import annotations
 
+import ctypes
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
+
+# (set, get) thread-count functions of the OpenBLAS that numpy wheels
+# bundle (scipy-openblas64) and of a system OpenBLAS.
+_OPENBLAS_THREAD_FUNCS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def _openblas_thread_controls() -> list:
+    """(set, get) for every OpenBLAS mapped into this process, if any.
+
+    Reads the mapped library paths from /proc/self/maps, so it finds the
+    copy numpy loaded; it finds nothing where that file does not exist.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            fields = [line.split(None, 5) for line in fh]
+    except OSError:
+        return []
+    paths = sorted({f[5].strip() for f in fields
+                    if len(f) == 6 and "openblas" in f[5]})
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_THREAD_FUNCS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                controls.append((getattr(lib, set_name), getattr(lib, get_name)))
+                break
+    return controls
+
+
+def _use_one_blas_thread() -> None:
+    """Pool initializer: this worker runs BLAS on one thread for its life."""
+    for set_threads, _ in _openblas_thread_controls():
+        set_threads(1)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with OpenBLAS on one thread; restore the count after."""
+    controls = _openblas_thread_controls()
+    before = [get_threads() for _, get_threads in controls]
+    for set_threads, _ in controls:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (set_threads, _), n in zip(controls, before):
+            set_threads(n)
 
 
 @contextmanager
@@ -15,14 +72,18 @@ def worker_pool(workers: int):
 
     At one worker it is the builtin map in this process; otherwise it is
     the map of one process pool that every call inside the block reuses.
+    Either way this process and every worker run BLAS on one thread.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    if workers == 1:
-        yield map
-        return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield pool.map
+    with _one_blas_thread():
+        if workers == 1:
+            yield map
+            return
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_use_one_blas_thread
+        ) as pool:
+            yield pool.map
 
 
 def parallel_map(fn, items, pool_map) -> list:

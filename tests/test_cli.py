@@ -385,3 +385,17 @@ def test_fitness_seed_in_config_is_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'seed'" in err and "--seed" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("section", [3, [1], "ab", None])
+@pytest.mark.parametrize("flags", [[], ["--horizon", "3"]])
+def test_fitness_section_not_an_object_is_usage_error(
+    tmp_path, capsys, section, flags
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fitness": section}))
+    out = tmp_path / "out"
+    argv = [*EVOLVE_CA, *flags, "--config", str(cfg), "--out", str(out)]
+    assert main(argv) == 1
+    assert "fitness must be an object" in capsys.readouterr().err
+    assert not out.exists()

@@ -289,6 +289,18 @@ class TestEvolveRules:
         two = evolve_rules("simple", FAST_EVO, seed=4, workers=2)
         assert one.history == two.history
 
+    def test_predictor_workers_do_not_change_bits(self):
+        cfg = EvolveCaConfig(
+            generations=2, popsize=2, kernel=SMALL_KERNEL,
+            fitness=HaltingFitnessConfig(
+                n_grids=8, grid_side=32, horizon=4, epochs=1
+            ),
+        )
+        one = evolve_rules("predictor", cfg, seed=9, workers=1)
+        two = evolve_rules("predictor", cfg, seed=9, workers=2)
+        assert one.history == two.history
+        assert one.best_raw.tobytes() == two.best_raw.tobytes()
+
     def test_simple_real_fitness_end_to_end(self):
         res = evolve_rules("simple", FAST_EVO, seed=7)
         assert -0.25 <= res.best_fitness <= 0.0

@@ -1,0 +1,73 @@
+"""BLAS threading of worker_pool: one OpenBLAS thread in every process."""
+import ctypes
+
+import numpy as np  # noqa: F401  (loads OpenBLAS into this process)
+import pytest
+
+from cellevo.parallel import worker_pool
+
+THREAD_FUNCS = {
+    "scipy_openblas_get_num_threads64_": "scipy_openblas_set_num_threads64_",
+    "openblas_get_num_threads": "openblas_set_num_threads",
+}
+
+
+def openblas_libs():
+    """(get, set) thread-count functions of every OpenBLAS mapped in here."""
+    with open("/proc/self/maps") as fh:
+        rows = [line.split(None, 5) for line in fh]
+    paths = sorted({r[5].strip() for r in rows
+                    if len(r) == 6 and "openblas" in r[5]})
+    found = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for get_name, set_name in THREAD_FUNCS.items():
+            if hasattr(lib, get_name):
+                found.append((getattr(lib, get_name), getattr(lib, set_name)))
+                break
+    return found
+
+
+def blas_threads(_=None):
+    return [get() for get, _ in openblas_libs()]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Start from two threads, so a one-thread block shows on any host."""
+    try:
+        libs = openblas_libs()
+    except OSError:
+        libs = []
+    if not libs:
+        pytest.skip("no OpenBLAS loaded")
+    before = [get() for get, _ in libs]
+    for _, set_threads in libs:
+        set_threads(2)
+    yield [2] * len(libs)
+    for (_, set_threads), n in zip(libs, before):
+        set_threads(n)
+
+
+def test_one_worker_runs_one_blas_thread_and_restores(two_blas_threads):
+    one = [1] * len(two_blas_threads)
+    with worker_pool(1) as pool_map:
+        assert blas_threads() == one
+        assert list(pool_map(blas_threads, range(2))) == [one] * 2
+    assert blas_threads() == two_blas_threads
+
+
+def test_every_worker_runs_one_blas_thread(two_blas_threads):
+    one = [1] * len(two_blas_threads)
+    with worker_pool(2) as pool_map:
+        seen = list(pool_map(blas_threads, range(8)))
+        assert blas_threads() == one
+    assert seen == [one] * 8
+    assert blas_threads() == two_blas_threads
+
+
+def test_restores_after_an_exception(two_blas_threads):
+    with pytest.raises(RuntimeError):
+        with worker_pool(1):
+            raise RuntimeError("stop")
+    assert blas_threads() == two_blas_threads
