@@ -21,7 +21,7 @@ from .config import (
     load_config_file,
 )
 from .grid import BACKENDS, centered_patch_state, place_centered, substream
-from .halting import check_mode, evolve_rules
+from .halting import MODES, check_mode, evolve_rules
 from .io import (
     load_pattern,
     load_rule,
@@ -58,9 +58,9 @@ def _resolve_rule(args):
         raise _UsageError(str(exc)) from exc
 
 
-def _require_positive(flag: str, value: int) -> None:
-    if value < 1:
-        raise _UsageError(f"{flag} must be at least 1, got {value}")
+def _require_at_least(flag: str, value: int, low: int) -> None:
+    if value < low:
+        raise _UsageError(f"{flag} must be at least {low}, got {value}")
 
 
 # The config-backed flags of each subcommand: its config class and the
@@ -179,10 +179,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_evolve_ca(args) -> int:
-    _require_positive("--workers", args.workers)
+    _require_at_least("--workers", args.workers, 1)
     cfg = _build_config(args)
     try:
-        check_mode(args.mode, cfg.fitness)
+        check_mode(args.mode, cfg)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     out = Path(args.out)
@@ -198,7 +198,7 @@ def _cmd_evolve_ca(args) -> int:
 
 
 def _cmd_evolve_pattern(args) -> int:
-    _require_positive("--workers", args.workers)
+    _require_at_least("--workers", args.workers, 1)
     rule = _resolve_rule(args)
     cfg = _build_config(args)
     try:
@@ -240,7 +240,8 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    _require_positive("--every", args.every)
+    _require_at_least("--every", args.every, 1)
+    _require_at_least("--steps", args.steps, 0)
     if args.pattern:
         pattern = load_pattern(args.pattern)
         rule, tile = pattern.rule, pattern.tile
@@ -305,8 +306,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("evolve-ca", help="evolve rule parameters for "
                                          "halting unpredictability")
     _add_common(p, "evolve-ca")
-    p.add_argument("--mode", choices=["simple", "predictor", "random"],
-                   default="simple")
+    p.add_argument("--mode", default="simple", help=" | ".join(MODES))
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(handler=_cmd_evolve_ca)
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -105,6 +106,10 @@ class EvolveCaConfig(_FromDict):
             raise ValueError("generations must be at least 1")
         if self.popsize < 0:
             raise ValueError("popsize must be nonnegative")
+        if not (math.isfinite(self.sigma0) and self.sigma0 > 0):
+            raise ValueError("sigma0 must be positive and finite")
+        if not 0.0 <= self.dt <= 1.0:
+            raise ValueError("dt must lie in [0, 1]")
 
     @classmethod
     def from_dict(cls, data: dict) -> "EvolveCaConfig":

@@ -188,14 +188,29 @@ class EvolveCaResult:
     evaluations: int
 
 
-def check_mode(mode: str, fitness: HaltingFitnessConfig) -> None:
-    """Reject a mode the fitness config cannot run, before any work starts."""
+def check_mode(mode: str, cfg: EvolveCaConfig) -> None:
+    """Reject a mode the config cannot run, before any work starts."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if mode == "predictor" and fitness.grid_side % pred.INPUT_SIDE:
+    if mode != "random" and cfg.popsize == 1:
+        raise ValueError(f"popsize 1 is too small for CMA-ES in {mode} mode")
+    if mode != "predictor":
+        return
+    fitness = cfg.fitness
+    if fitness.grid_side % pred.INPUT_SIDE:
         raise ValueError(
             f"grid_side {fitness.grid_side} must be a multiple of"
             f" {pred.INPUT_SIDE} in predictor mode"
+        )
+    # predictor.train's own limits, checked here so no run starts.
+    if fitness.n_grids < 4:
+        raise ValueError(
+            f"n_grids {fitness.n_grids} must be at least 4 in predictor mode"
+        )
+    if not 0 < int(fitness.n_grids * fitness.split) < fitness.n_grids:
+        raise ValueError(
+            f"split {fitness.split} leaves an empty train or validation set"
+            f" of n_grids {fitness.n_grids}"
         )
 
 
@@ -216,20 +231,7 @@ def _evaluate(args) -> float:
 
 def _sample_uniform_genome(rng) -> np.ndarray:
     """Uniform draw in squash bounds, mapped back to unbounded space."""
-    eps = 1e-9
-    bounded = np.array(
-        [
-            rng.uniform(0.0, 1.0),
-            rng.uniform(SIGMA_LO, SIGMA_HI),
-            rng.uniform(0.0, 1.0),
-            rng.uniform(SIGMA_LO, SIGMA_HI),
-        ]
-    )
-    unit_lo = np.array([eps, SIGMA_LO * (1 + eps), eps, SIGMA_LO * (1 + eps)])
-    unit_hi = np.array(
-        [1 - eps, SIGMA_HI * (1 - eps), 1 - eps, SIGMA_HI * (1 - eps)]
-    )
-    return unsquash_genome(np.clip(bounded, unit_lo, unit_hi))
+    return _logit(np.clip(rng.random(GENOME_DIM), 1e-9, 1 - 1e-9))
 
 
 def evolve_rules(
@@ -247,7 +249,7 @@ def evolve_rules(
     (used for landscape tests). A non-finite fitness is ranked as -1, the
     worst, and counted in its generation's history entry as n_nonfinite.
     """
-    check_mode(mode, cfg.fitness)
+    check_mode(mode, cfg)
     lam = cfg.popsize or default_popsize(GENOME_DIM)
     es = None
     if mode in ("simple", "predictor"):

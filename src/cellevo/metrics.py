@@ -38,8 +38,7 @@ def _outside_max(states: np.ndarray, box_side: int) -> np.ndarray:
     )
     out = np.full(states.shape[:-2], -np.inf)
     for strip in strips:
-        if strip.shape[-1] and strip.shape[-2]:
-            out = np.maximum(out, strip.max(axis=(-2, -1)))
+        out = np.maximum(out, strip.max(axis=(-2, -1), initial=-np.inf))
     return out
 
 

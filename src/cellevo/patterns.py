@@ -271,8 +271,10 @@ def _evaluate_genomes(
 
 
 def check_tile(rule: RuleParams, cfg: PatternEvoConfig) -> int:
-    """The tile side (0 means 4 * kernel radius); reject one the grid cannot hold."""
+    """The tile side (0 means 4 * kernel radius), between 3 and grid_side."""
     tile_side = cfg.tile_side or 4 * rule.kernel.radius
+    if tile_side < 3:
+        raise ValueError(f"tile_side {tile_side} must be at least 3")
     if tile_side > cfg.grid_side:
         default = "" if cfg.tile_side else f" (4 * kernel radius {rule.kernel.radius})"
         raise ValueError(

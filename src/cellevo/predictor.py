@@ -136,16 +136,9 @@ def _forward(w: PredictorWeights, cols1: np.ndarray) -> dict:
     }
 
 
-def _pool_input(grid: np.ndarray) -> np.ndarray:
-    side = grid.shape[-1]
-    if side == INPUT_SIDE:
-        return np.asarray(grid, dtype=np.float64)
-    return block_mean(grid, INPUT_SIDE)
-
-
 def predict(w: PredictorWeights, grid: np.ndarray) -> float:
     """Probability that a single grid is "active"; pools to 32x32 if needed."""
-    return float(predict_batch(w, _pool_input(grid)[None])[0])
+    return float(predict_batch(w, np.asarray(grid)[None])[0])
 
 
 def sigmoid(z):
@@ -154,7 +147,8 @@ def sigmoid(z):
 
 
 def predict_batch(w: PredictorWeights, grids: np.ndarray) -> np.ndarray:
-    return sigmoid(_forward(w, _im2col(_pool_input(grids)[..., None]))["logit"])
+    x = block_mean(grids, INPUT_SIDE)
+    return sigmoid(_forward(w, _im2col(x[..., None]))["logit"])
 
 
 def loss_and_grads(w: PredictorWeights, grids, labels):
@@ -239,7 +233,7 @@ def train(
     seeded by `seed`, so results are reproducible. The training examples'
     conv1 windows are copied once, and each batch gathers its rows.
     """
-    x = _pool_input(np.asarray(grids, dtype=np.float64))
+    x = block_mean(grids, INPUT_SIDE)
     y = np.asarray(labels, dtype=np.float64)
     m = x.shape[0]
     if m < 4:

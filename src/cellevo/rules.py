@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import Kernel, _check_fits, convolve, radial_distances
+from .grid import Kernel, convolve, radial_distances
 
 LENIA = "lenia"
 GLABERISH = "glaberish"
@@ -194,10 +194,6 @@ def step(state: np.ndarray, rule: RuleParams, backend: str = "auto") -> np.ndarr
     to it. `state` is only read; the result never shares its memory.
     """
     state = np.asarray(state, dtype=np.float64)
-    if rule.dt == 0.0:
-        # delta is multiplied by 0: the state is exactly frozen.
-        _check_fits(build_kernel(rule.kernel), state.shape)
-        return np.clip(state, 0.0, 1.0)
     out = np.ascontiguousarray(convolve(state, build_kernel(rule.kernel), backend))
     cells = out.reshape(-1)  # a view: writes land in `out`
     flat = state.reshape(-1)  # copies only a non-contiguous state

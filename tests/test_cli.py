@@ -399,3 +399,74 @@ def test_fitness_section_not_an_object_is_usage_error(
     assert main(argv) == 1
     assert "fitness must be an object" in capsys.readouterr().err
     assert not out.exists()
+
+
+PREDICTOR = ["--mode", "predictor", "--grid-side", "32"]
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--sigma0", "0"], "sigma0"),
+        (["--sigma0", "-1"], "sigma0"),
+        (["--sigma0", "nan"], "sigma0"),
+        (["--sigma0", "inf"], "sigma0"),
+        (["--dt", "2"], "dt"),
+        (["--dt", "-0.1"], "dt"),
+        (["--dt", "nan"], "dt"),
+        (["--popsize", "1"], "popsize"),
+        ([*PREDICTOR, "--popsize", "1"], "popsize"),
+        ([*PREDICTOR, "--n-grids", "3"], "n_grids"),
+    ],
+    ids=["sigma0=0", "sigma0=-1", "sigma0=nan", "sigma0=inf", "dt=2",
+         "dt=-0.1", "dt=nan", "simple-popsize=1", "predictor-popsize=1",
+         "predictor-n_grids=3"],
+)
+def test_evolve_ca_setting_is_usage_error(tmp_path, flags, field, capsys):
+    out = tmp_path / "out"
+    assert main([*EVOLVE_CA, *flags, "--out", str(out)]) == 1
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_predictor_split_leaving_an_empty_set_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fitness": {"split": 0.1}}))
+    out = tmp_path / "out"
+    argv = [*EVOLVE_CA, *PREDICTOR, "--n-grids", "5", "--config", str(cfg),
+            "--out", str(out)]
+    assert main(argv) == 1
+    assert "split 0.1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_random_mode_accepts_popsize_1(tmp_path, capsys):
+    argv = [*EVOLVE_CA, "--mode", "random", "--popsize", "1",
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+    history = (tmp_path / "history.jsonl").read_text().splitlines()
+    assert len(history) == 2
+
+
+def test_unknown_mode_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([*EVOLVE_CA, "--mode", "bogus", "--out", str(out)]) == 1
+    assert "mode 'bogus'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tile_side", ["1", "2"])
+def test_tile_below_three_is_usage_error(tmp_path, tile_side, capsys):
+    out = tmp_path / "out"
+    argv = [*EVOLVE_PATTERN, "--tile-side", tile_side, "--out", str(out)]
+    assert main(argv) == 1
+    assert "tile_side" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_render_negative_steps_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["render", "--steps", "-1", "--grid-side", "64", "--out", str(out)]
+    assert main(argv) == 1
+    assert "--steps" in capsys.readouterr().err
+    assert not out.exists()

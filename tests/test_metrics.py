@@ -72,6 +72,17 @@ class TestEscaped:
         with pytest.raises(ValueError, match="inside"):
             escaped(np.zeros((16, 16)), 16)
 
+    def test_box_one_short_of_the_grid(self):
+        # Box rows/cols [0, 15) for side 16: the strips above and to the
+        # left of the box are empty, the other two are one cell thick.
+        grid = np.zeros((16, 16))
+        grid[:15, :15] = 1.0
+        assert not escaped(grid, 15)
+        for cell in ((15, 0), (7, 15), (15, 15)):
+            hit = grid.copy()
+            hit[cell] = 0.5
+            assert escaped(hit, 15), cell
+
 
 class TestComputeMetrics:
     def test_always_decay(self):

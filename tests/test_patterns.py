@@ -266,6 +266,13 @@ class TestEvolvePatterns:
         res = evolve_patterns(SMALL_RULE, cfg, seed=0)
         assert res.best_tile.shape == (12, 12)  # 4 * radius 3
 
+    @pytest.mark.parametrize("tile_side", [1, 2, -4])
+    def test_tile_below_three_is_rejected(self, tile_side):
+        cfg = PatternEvoConfig(grid_side=24, tile_side=tile_side,
+                               steps=4, stride=2, population=2, generations=1)
+        with pytest.raises(ValueError, match="tile_side"):
+            check_tile(SMALL_RULE, cfg)
+
     @pytest.mark.parametrize("tile_side, grid_side", [(0, 10), (30, 24)],
                              ids=["default-4R", "explicit"])
     def test_tile_larger_than_grid_is_rejected(self, tile_side, grid_side):

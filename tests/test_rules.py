@@ -236,6 +236,22 @@ class TestStep:
         rule = lenia_rule(0.15, 0.015, dt=0.0)
         assert np.array_equal(step(state, rule), state)
 
+    @pytest.mark.parametrize("backend", ["fft", "direct"])
+    def test_dt_zero_is_clip_on_out_of_range_strided_states(self, backend):
+        wide = np.random.default_rng(12).uniform(-0.5, 1.5, (2, 40, 60))
+        rules_ = (lenia_rule(0.15, 0.015, dt=0.0),
+                  glaberish_rule((0.05, 0.01), (0.25, 0.03), dt=0.0))
+        for state in (wide, wide[:, :, ::2], wide[:, ::-1, 3:33]):
+            expected = np.clip(state, 0.0, 1.0)
+            for rule in rules_:
+                out = step(state, rule, backend)
+                assert out.shape == expected.shape
+                assert out.tobytes() == expected.tobytes()
+
+    def test_dt_zero_still_rejects_a_kernel_that_does_not_fit(self):
+        with pytest.raises(ValueError, match="does not fit"):
+            step(np.zeros((16, 16)), lenia_rule(0.15, 0.015, dt=0.0))
+
     def test_always_decay_subtracts_dt(self):
         state = np.full((30, 30), 0.75)
         out = step(state, always_decay_rule(dt=0.1))
