@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -47,15 +48,22 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _resolve_rule(args):
+@contextmanager
+def _usage_errors():
+    """Re-raise a bad name, value or input file in the block as a usage error."""
     try:
+        yield
+    except KeyError as exc:  # str() would quote the message
+        raise _UsageError(exc.args[0]) from exc
+    except (ValueError, OSError) as exc:
+        raise _UsageError(str(exc)) from exc
+
+
+def _resolve_rule(args):
+    with _usage_errors():
         if getattr(args, "rule_file", None):
             return load_rule(args.rule_file)
         return load_preset(args.rule)
-    except KeyError as exc:
-        raise _UsageError(exc.args[0]) from exc
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
 
 
 def _require_at_least(flag: str, value: int, low: int) -> None:
@@ -95,7 +103,7 @@ def _build_config(args):
     keeps the others.
     """
     cls, names = _CONFIG_FLAGS[args.command]
-    try:
+    with _usage_errors():
         data = dict(load_config_file(args.config)) if args.config else {}
         for name in names:
             section, _, key = name.rpartition(".")
@@ -109,8 +117,6 @@ def _build_config(args):
                     target = data[section] = dict(target)
                 target[key] = value
         return cls.from_dict(data)
-    except (KeyError, ValueError, OSError) as exc:
-        raise _UsageError(str(exc)) from exc
 
 
 def _frame_run(state, rule, steps, every, backend):
@@ -181,10 +187,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_evolve_ca(args) -> int:
     _require_at_least("--workers", args.workers, 1)
     cfg = _build_config(args)
-    try:
+    with _usage_errors():
         check_mode(args.mode, cfg)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result = evolve_rules(args.mode, cfg, args.seed, workers=args.workers)
@@ -201,10 +205,8 @@ def _cmd_evolve_pattern(args) -> int:
     _require_at_least("--workers", args.workers, 1)
     rule = _resolve_rule(args)
     cfg = _build_config(args)
-    try:
+    with _usage_errors():
         check_tile(rule, cfg)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result = evolve_patterns(rule, cfg, args.seed, workers=args.workers)
@@ -243,7 +245,8 @@ def _cmd_render(args) -> int:
     _require_at_least("--every", args.every, 1)
     _require_at_least("--steps", args.steps, 0)
     if args.pattern:
-        pattern = load_pattern(args.pattern)
+        with _usage_errors():
+            pattern = load_pattern(args.pattern)
         rule, tile = pattern.rule, pattern.tile
         label = pattern.name
     else:

@@ -1,19 +1,21 @@
 """Workflow configuration dataclasses with strict dict parsing.
 
 Every field has a default, so a zero-argument construction runs end to
-end at desk scale. `from_dict` rejects unknown keys by name — config
-files fail loudly instead of silently ignoring typos.
+end at desk scale. `from_dict` parses with `rules.from_json`, the parser
+rule files use too: an unknown key or a value of the wrong JSON type is
+an error that names the field, so config files fail loudly instead of
+silently ignoring typos or coercing values. An int passes as a float;
+a bool passes as neither.
 """
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .grid import check_backend
-from .rules import KernelSpec, _require_keys, kernel_from_dict
+from .rules import KernelSpec, from_json
 
 # Kernel used when evolving new rules (the wide three-ring neighborhood).
 DEFAULT_EVO_KERNEL = KernelSpec(radius=18, ring_weights=(0.5, 1.0, 0.667))
@@ -26,11 +28,7 @@ class _FromDict:
 
     @classmethod
     def from_dict(cls, data: dict):
-        if not isinstance(data, dict):
-            raise ValueError(f"{cls.section} must be an object")
-        allowed = {f.name for f in dataclasses.fields(cls)}
-        _require_keys(data, allowed, set(), cls.section)
-        return cls(**data)
+        return from_json(cls, data, cls.section)
 
 
 @dataclass(frozen=True)
@@ -113,15 +111,11 @@ class EvolveCaConfig(_FromDict):
 
     @classmethod
     def from_dict(cls, data: dict) -> "EvolveCaConfig":
-        kwargs = dict(data)
-        if "kernel" in kwargs:
-            kwargs["kernel"] = kernel_from_dict(kwargs["kernel"])
-        if "fitness" in kwargs:
-            if isinstance(kwargs["fitness"], dict) and "seed" in kwargs["fitness"]:
-                raise ValueError("fitness key 'seed' is not allowed: each"
-                                 " candidate's seed derives from --seed")
-            kwargs["fitness"] = HaltingFitnessConfig.from_dict(kwargs["fitness"])
-        return super().from_dict(kwargs)
+        fitness = data.get("fitness") if isinstance(data, dict) else None
+        if isinstance(fitness, dict) and "seed" in fitness:
+            raise ValueError("fitness key 'seed' is not allowed: each"
+                             " candidate's seed derives from --seed")
+        return super().from_dict(data)
 
 
 @dataclass(frozen=True)

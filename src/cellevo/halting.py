@@ -194,23 +194,28 @@ def check_mode(mode: str, cfg: EvolveCaConfig) -> None:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     if mode != "random" and cfg.popsize == 1:
         raise ValueError(f"popsize 1 is too small for CMA-ES in {mode} mode")
-    if mode != "predictor":
-        return
     fitness = cfg.fitness
-    if fitness.grid_side % pred.INPUT_SIDE:
+    if mode == "predictor":
+        if fitness.grid_side % pred.INPUT_SIDE:
+            raise ValueError(
+                f"grid_side {fitness.grid_side} must be a multiple of"
+                f" {pred.INPUT_SIDE} in predictor mode"
+            )
+        # predictor.train's own limits, checked here so no run starts.
+        if fitness.n_grids < 4:
+            raise ValueError(
+                f"n_grids {fitness.n_grids} must be at least 4 in predictor mode"
+            )
+        if not 0 < int(fitness.n_grids * fitness.split) < fitness.n_grids:
+            raise ValueError(
+                f"split {fitness.split} leaves an empty train or validation set"
+                f" of n_grids {fitness.n_grids}"
+            )
+    kernel_side = 2 * cfg.kernel.radius + 1
+    if fitness.grid_side < kernel_side:
         raise ValueError(
-            f"grid_side {fitness.grid_side} must be a multiple of"
-            f" {pred.INPUT_SIDE} in predictor mode"
-        )
-    # predictor.train's own limits, checked here so no run starts.
-    if fitness.n_grids < 4:
-        raise ValueError(
-            f"n_grids {fitness.n_grids} must be at least 4 in predictor mode"
-        )
-    if not 0 < int(fitness.n_grids * fitness.split) < fitness.n_grids:
-        raise ValueError(
-            f"split {fitness.split} leaves an empty train or validation set"
-            f" of n_grids {fitness.n_grids}"
+            f"grid_side {fitness.grid_side} is smaller than the evolution"
+            f" kernel's side {kernel_side}"
         )
 
 

@@ -13,7 +13,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .metrics import CSV_HEADER, MetricsReport
-from .rules import RuleParams, _require_keys, load_preset, rule_from_dict, rule_to_dict
+from .rules import (
+    RuleParams,
+    _require_keys,
+    json_value,
+    load_preset,
+    rule_from_dict,
+    rule_to_dict,
+)
 
 _PATTERN_KEYS = {"name", "rule", "height", "width", "cells"}
 
@@ -30,10 +37,7 @@ def save_rule(rule: RuleParams, path: str | Path) -> Path:
 
 
 def load_rule(path: str | Path) -> RuleParams:
-    data = json.loads(Path(path).read_text())
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    return rule_from_dict(data)
+    return rule_from_dict(json.loads(Path(path).read_text()))
 
 
 def save_history(records: Iterable[dict], path: str | Path) -> Path:
@@ -91,14 +95,18 @@ def save_pattern(
 
 
 def load_pattern(path: str | Path) -> PatternFile:
+    """Read a pattern file: ValueError if malformed, KeyError for an unknown preset."""
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object")
     _require_keys(data, _PATTERN_KEYS, _PATTERN_KEYS, "pattern")
-    height, width = int(data["height"]), int(data["width"])
+    name = json_value(data["name"], str, "name", "pattern")
+    height = json_value(data["height"], int, "height", "pattern")
+    width = json_value(data["width"], int, "width", "pattern")
+    cells = json_value(data["cells"], tuple[float, ...], "cells", "pattern")
     if height < 1 or width < 1:
         raise ValueError("pattern height and width must be positive")
-    cells = np.asarray(data["cells"], dtype=np.float64)
+    cells = np.asarray(cells, dtype=np.float64)
     if cells.shape != (height * width,):
         raise ValueError(
             f"expected {height * width} cells, got {cells.size}"
@@ -114,7 +122,7 @@ def load_pattern(path: str | Path) -> PatternFile:
         raise ValueError("pattern 'rule' must be a preset name or rule object")
     tile = cells.reshape(height, width)
     tile.flags.writeable = False
-    return PatternFile(name=str(data["name"]), rule=rule, tile=tile)
+    return PatternFile(name=name, rule=rule, tile=tile)
 
 
 def save_metrics(report: MetricsReport, path: str | Path) -> Path:

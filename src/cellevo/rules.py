@@ -14,12 +14,14 @@ built from a declarative spec so rules serialize to plain JSON.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import NamedTuple
+from types import UnionType
+from typing import NamedTuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -305,78 +307,65 @@ def _require_keys(mapping: dict, allowed: set[str], required: set[str], what: st
             raise ValueError(f"missing {what} field {key!r}")
 
 
-def _bump_from_dict(d: dict, what: str) -> GrowthBump:
-    if not isinstance(d, dict):
-        raise ValueError(f"{what} must be an object with mu and sigma")
-    _require_keys(d, {"mu", "sigma"}, {"mu", "sigma"}, what)
-    return GrowthBump(float(d["mu"]), float(d["sigma"]))
+def from_json(cls, data, what: str):
+    """Build dataclass `cls` from a parsed JSON object; `what` names it in errors.
+
+    Unknown keys, missing keys (fields without a default) and values of
+    the wrong JSON type are errors that name the field; see `json_value`.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be an object")
+    fields = dataclasses.fields(cls)
+    required = {
+        f.name for f in fields
+        if f.default is MISSING and f.default_factory is MISSING
+    }
+    _require_keys(data, {f.name for f in fields}, required, what)
+    hints = get_type_hints(cls)
+    return cls(**{key: json_value(value, hints[key], key, what)
+                  for key, value in data.items()})
 
 
-def kernel_from_dict(d: dict) -> KernelSpec:
-    """Parse the JSON kernel format; unknown or missing fields are an error."""
-    if not isinstance(d, dict):
-        raise ValueError("kernel must be an object")
-    _require_keys(
-        d,
-        {"radius", "ring_weights", "core", "core_param"},
-        {"radius", "ring_weights"},
-        "kernel",
-    )
-    return KernelSpec(
-        radius=int(d["radius"]),
-        ring_weights=tuple(float(b) for b in d["ring_weights"]),
-        core=d.get("core", "lenia_shell"),
-        core_param=float(d.get("core_param", 4.0)),
+# JSON types each scalar annotation accepts; a bool is never a number.
+_JSON_SCALARS = {int: (int, "an integer"), float: ((int, float), "a number"),
+                 str: (str, "a string")}
+
+
+def json_value(value, hint, key: str, what: str):
+    """Check one JSON value against field `key`'s annotation and convert it.
+
+    int takes an int only (not 2.0), float an int or a float, str a
+    string, tuple[X, ...] a list of X, and a dataclass an object, parsed
+    by `from_json` under the field's name. A union reads as its first
+    member, so `X | None` reads as X.
+    """
+    if get_origin(hint) in (Union, UnionType):
+        hint = get_args(hint)[0]
+    if dataclasses.is_dataclass(hint):
+        return from_json(hint, value, key)
+    if get_origin(hint) is tuple:
+        if isinstance(value, list):
+            return tuple(json_value(v, get_args(hint)[0], key, what) for v in value)
+        expected = "a list"
+    else:
+        types, expected = _JSON_SCALARS[hint]
+        if isinstance(value, types) and not isinstance(value, bool):
+            return hint(value)
+    raise ValueError(
+        f"{what} field {key!r} must be {expected}, got {json.dumps(value)}"
     )
 
 
 def rule_from_dict(d: dict) -> RuleParams:
-    """Parse the JSON rule format; unknown fields are an error."""
-    if not isinstance(d, dict):
-        raise ValueError("rule must be a JSON object")
-    allowed = {"name", "framework", "kernel", "dt", "growth", "genesis", "persistence"}
-    _require_keys(d, allowed, {"name", "framework", "kernel", "dt"}, "rule")
-    kernel = kernel_from_dict(d["kernel"])
-    framework = d["framework"]
-    required_bumps = {LENIA: ("growth",), GLABERISH: ("genesis", "persistence")}
-    for key in required_bumps.get(framework, ()):
-        if key not in d:
-            raise ValueError(f"missing rule field {key!r}")
-    # Parse every bump present; RuleParams rejects ones foreign to the framework.
-    bumps = {
-        key: _bump_from_dict(d[key], key)
-        for key in ("growth", "genesis", "persistence")
-        if key in d
-    }
-    return RuleParams(
-        name=str(d["name"]),
-        framework=framework,
-        kernel=kernel,
-        dt=float(d["dt"]),
-        **bumps,
-    )
+    """Parse the JSON rule format; see `from_json`."""
+    return from_json(RuleParams, d, "rule")
 
 
 def rule_to_dict(rule: RuleParams) -> dict:
-    out = {
-        "name": rule.name,
-        "framework": rule.framework,
-        "kernel": {
-            "radius": rule.kernel.radius,
-            "ring_weights": list(rule.kernel.ring_weights),
-            "core": rule.kernel.core,
-            "core_param": rule.kernel.core_param,
-        },
-    }
-    if rule.framework == LENIA:
-        out["growth"] = {"mu": rule.growth.mu, "sigma": rule.growth.sigma}
-    else:
-        out["genesis"] = {"mu": rule.genesis.mu, "sigma": rule.genesis.sigma}
-        out["persistence"] = {
-            "mu": rule.persistence.mu,
-            "sigma": rule.persistence.sigma,
-        }
-    out["dt"] = rule.dt
+    """The JSON rule format: absent bumps left out, dt last."""
+    out = {k: v for k, v in dataclasses.asdict(rule).items() if v is not None}
+    out["kernel"]["ring_weights"] = list(rule.kernel.ring_weights)
+    out["dt"] = out.pop("dt")
     return out
 
 

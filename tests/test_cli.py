@@ -12,8 +12,8 @@ from cellevo.config import (
     PatternEvoConfig,
     SimulateConfig,
 )
-from cellevo.io import load_pattern
-from cellevo.rules import preset_names
+from cellevo.io import load_pattern, save_pattern
+from cellevo.rules import load_preset, preset_names, rule_to_dict
 
 # Small-but-real invocations; grids must fit the default radius-18 kernel.
 EVOLVE_CA = ["evolve-ca", "--mode", "simple", "--generations", "2",
@@ -469,4 +469,89 @@ def test_render_negative_steps_is_usage_error(tmp_path, capsys):
     argv = ["render", "--steps", "-1", "--grid-side", "64", "--out", str(out)]
     assert main(argv) == 1
     assert "--steps" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _orbium_rule_with(change):
+    rule = rule_to_dict(load_preset("Orbium"))
+    change(rule)
+    return rule
+
+
+@pytest.mark.parametrize(
+    "option, data, field",
+    [
+        ("--config", {"sigma0": "0.5"}, "sigma0"),
+        ("--config", {"popsize": 2.0}, "popsize"),
+        ("--config", {"generations": True}, "generations"),
+        ("--config", {"fitness": {"n_grids": "8"}}, "n_grids"),
+        ("--config", {"kernel": {"radius": 2.7, "ring_weights": [1.0]}},
+         "radius"),
+        ("--rule-file", _orbium_rule_with(lambda r: r.update(dt=[0.1])), "dt"),
+        ("--rule-file",
+         _orbium_rule_with(lambda r: r["kernel"].update(ring_weights=5)),
+         "ring_weights"),
+        ("--rule-file", _orbium_rule_with(
+            lambda r: r.update(growth={"mu": "0.15", "sigma": "0.015"},
+                               dt="0.1")), "mu"),
+    ],
+    ids=["sigma0-str", "popsize-float", "generations-bool", "n_grids-str",
+         "radius-float", "dt-list", "ring_weights-number", "string-numbers"],
+)
+def test_value_of_wrong_json_type_is_usage_error(tmp_path, option, data, field,
+                                                 capsys):
+    path = tmp_path / "in.json"
+    out = tmp_path / "out"
+    if option == "--config":
+        # The small settings live in the file too: a flag would override
+        # the bad value, and a value let through must not start a long run.
+        fitness = {"n_grids": 4, "grid_side": 40, "horizon": 2,
+                   **data.get("fitness", {})}
+        path.write_text(json.dumps(
+            {"generations": 1, "popsize": 2, **data, "fitness": fitness}))
+        argv = ["evolve-ca", "--mode", "simple"]
+    else:
+        path.write_text(json.dumps(data))
+        argv = ["simulate", "--steps", "1", "--side", "32"]
+    assert main([*argv, option, str(path), "--out", str(out)]) == 1
+    assert f"{field!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evolve_ca_grid_smaller_than_kernel_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [*EVOLVE_CA, "--grid-side", "20", "--out", str(out)]
+    assert main(argv) == 1
+    assert "grid_side 20" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, named",
+    [("height", 2.5, "'height'"), ("width", "1", "'width'"),
+     ("name", 7, "'name'"), ("cells", ["0", "0"], "'cells'"),
+     ("rule", "NoSuchRule", "NoSuchRule")],
+)
+def test_render_bad_pattern_file_is_usage_error(tmp_path, key, value, named,
+                                                capsys):
+    path = save_pattern(tmp_path / "p.json", name="g", tile=np.zeros((2, 1)),
+                        rule="Orbium")
+    data = json.loads(path.read_text())
+    data[key] = value
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    argv = ["render", "--pattern", str(path), "--steps", "1",
+            "--grid-side", "64", "--out", str(out)]
+    assert main(argv) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--steps", "1", "--rule-file"],
+                                  ["render", "--steps", "1", "--pattern"]],
+                         ids=["rule-file", "pattern"])
+def test_missing_input_file_is_usage_error(tmp_path, argv, capsys):
+    out = tmp_path / "out"
+    assert main([*argv, str(tmp_path / "nope.json"), "--out", str(out)]) == 1
+    assert "nope.json" in capsys.readouterr().err
     assert not out.exists()

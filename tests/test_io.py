@@ -1,5 +1,6 @@
 """Round trips and exact bytes for the on-disk formats."""
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -17,7 +18,13 @@ from cellevo.io import (
     write_frames,
 )
 from cellevo.metrics import MetricsReport
-from cellevo.rules import GrowthBump, KernelSpec, RuleParams, load_preset
+from cellevo.rules import (
+    GrowthBump,
+    KernelSpec,
+    RuleParams,
+    load_preset,
+    preset_names,
+)
 
 
 def small_rule():
@@ -37,6 +44,12 @@ class TestRuleFiles:
         rule = load_preset("s7")
         p = save_rule(rule, tmp_path / "r.json")
         assert load_rule(p) == rule
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_saved_preset_matches_shipped_file(self, tmp_path, name):
+        p = save_rule(load_preset(name), tmp_path / "r.json")
+        shipped = resources.files("cellevo") / "presets" / f"{name}.json"
+        assert p.read_bytes() == shipped.read_bytes()
 
     def test_rejects_non_object(self, tmp_path):
         p = tmp_path / "r.json"
@@ -113,6 +126,16 @@ class TestPatternFiles:
         data["cells"] = data["cells"][:-1]
         p.write_text(json.dumps(data))
         with pytest.raises(ValueError, match="cells"):
+            load_pattern(p)
+
+    @pytest.mark.parametrize("height", [2.5, 2.0, True, "2"])
+    def test_rejects_height_of_wrong_type(self, tmp_path, height):
+        p = save_pattern(tmp_path / "p.json", name="g", tile=np.zeros((2, 1)),
+                         rule=small_rule())
+        data = json.loads(p.read_text())
+        data["height"] = height
+        p.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="'height'"):
             load_pattern(p)
 
     def test_rejects_out_of_range_cells(self, tmp_path):

@@ -594,11 +594,54 @@ class TestSerialization:
         with pytest.raises(ValueError, match="framework"):
             rule_from_dict(d)
 
+    def test_float_field_reads_an_int_as_float(self):
+        d = rule_to_dict(load_preset("Orbium"))
+        d["dt"], d["kernel"]["ring_weights"] = 0, [1]
+        rule = rule_from_dict(d)
+        assert repr(rule.dt) == "0.0"
+        assert repr(rule.kernel.ring_weights) == "(1.0,)"
+
+    def test_rejects_null_bump(self):
+        d = rule_to_dict(load_preset("Orbium"))
+        d["growth"] = None
+        with pytest.raises(ValueError, match="growth must be an object"):
+            rule_from_dict(d)
+
     def test_rejects_dt_out_of_range(self):
         d = rule_to_dict(load_preset("Orbium"))
         d["dt"] = 1.5
         with pytest.raises(ValueError, match="dt"):
             rule_from_dict(d)
+
+
+class TestJsonValue:
+    @pytest.mark.parametrize(
+        "hint, value",
+        [(int, True), (int, 2.0), (int, "2"), (int, None), (float, True),
+         (float, "0.5"), (float, [0.5]), (str, 3), (str, None),
+         (tuple[float, ...], 5), (tuple[float, ...], "ab"),
+         (tuple[float, ...], [1.0, "2"]), (tuple[float, ...], [False])],
+    )
+    def test_rejects_wrong_json_type_naming_the_field(self, hint, value):
+        with pytest.raises(ValueError, match="section field 'x' must be"):
+            rules.json_value(value, hint, "x", "section")
+
+    @pytest.mark.parametrize(
+        "hint, value, expected",
+        [(int, 2, "2"), (float, 2, "2.0"), (float, 0.5, "0.5"),
+         (str, "a", "'a'"), (tuple[float, ...], [1, 0.5], "(1.0, 0.5)"),
+         (tuple[float, ...], [], "()"), (int | None, 3, "3")],
+    )
+    def test_accepts_and_converts(self, hint, value, expected):
+        assert repr(rules.json_value(value, hint, "x", "section")) == expected
+
+    def test_dataclass_field_parses_under_its_name(self):
+        with pytest.raises(ValueError, match="growth field 'sigma' must be"):
+            rules.json_value({"mu": 0.1, "sigma": "0.2"}, GrowthBump,
+                             "growth", "rule")
+        with pytest.raises(ValueError, match="missing growth field 'mu'"):
+            rules.json_value({"sigma": 0.2}, GrowthBump | None,
+                             "growth", "rule")
 
 
 class TestRuleParamsValidation:
