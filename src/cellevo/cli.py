@@ -12,8 +12,6 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-import numpy as np
-
 from .config import (
     EvolveCaConfig,
     MetricsConfig,
@@ -21,7 +19,8 @@ from .config import (
     SimulateConfig,
     load_config_file,
 )
-from .grid import BACKENDS, centered_patch_state, place_centered, substream
+from .grid import (BACKENDS, centered_patch_state, check_kernel_fits,
+                   place_centered, substream)
 from .halting import MODES, check_mode, evolve_rules
 from .io import (
     load_pattern,
@@ -36,7 +35,7 @@ from .io import (
 )
 from .metrics import CSV_HEADER, compute_metrics
 from .patterns import check_tile, evolve_patterns, random_genome, synthesize
-from .rules import load_preset, preset_names, step, trajectory
+from .rules import load_preset, preset_names, run
 
 
 class _UsageError(Exception):
@@ -119,27 +118,6 @@ def _build_config(args):
         return cls.from_dict(data)
 
 
-def _frame_run(state, rule, steps, every, backend):
-    """Step one grid, recording its mean and max after each step.
-
-    With every > 0 it also keeps frames at step 0, every `every` steps and
-    the final step. A grid retired as dead reads as zeros from then on.
-    """
-    frames = [state] if every else []
-    final, dead = state, np.zeros_like(state)
-    means, maxes = [], []
-    for t, active, work in trajectory(
-        state[None], lambda s: step(s, rule, backend), steps,
-        rule.zero_is_absorbing(),
-    ):
-        final = work[0] if active.size else dead
-        means.append(float(final.mean()))
-        maxes.append(float(final.max()))
-        if every and (t % every == 0 or t == steps):
-            frames.append(final)
-    return final, means, maxes, frames
-
-
 def _cmd_presets(args) -> int:
     for name in preset_names():
         print(name)
@@ -157,11 +135,9 @@ def _cmd_simulate(args) -> int:
     else:
         state = rng.random((cfg.side, cfg.side))
 
-    final, means, maxes, frames = _frame_run(
-        state, rule, cfg.steps, cfg.frames_every, cfg.backend
-    )
+    res = run(state, rule, cfg.steps, cfg.backend, cfg.frames_every)
     if cfg.frames_every > 0 and cfg.steps > 0:
-        write_frames(frames, out / "frames")
+        write_frames(res.frames, out / "frames")
 
     summary = {
         "rule": rule.name,
@@ -171,10 +147,10 @@ def _cmd_simulate(args) -> int:
         "init": cfg.init,
         "seed": args.seed,
         "backend": cfg.backend,
-        "final_mean": float(final.mean()),
-        "final_max": float(final.max()),
-        "means": means,
-        "maxes": maxes,
+        "final_mean": float(res.final.mean()),
+        "final_max": float(res.final.max()),
+        "means": res.means.tolist(),
+        "maxes": res.maxes.tolist(),
     }
     path = write_json(summary, out / "summary.json")
     print(
@@ -231,6 +207,8 @@ def _cmd_evolve_pattern(args) -> int:
 def _cmd_metrics(args) -> int:
     rule = _resolve_rule(args)
     cfg = _build_config(args)
+    with _usage_errors():
+        check_kernel_fits(rule.kernel.radius, cfg.grid_side)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report = compute_metrics(rule, cfg, args.seed)
@@ -260,10 +238,8 @@ def _cmd_render(args) -> int:
         raise _UsageError(
             f"tile {tile.shape} does not fit in a {side}x{side} grid"
         )
-    state = place_centered(side, tile)
-    _, _, _, frames = _frame_run(state, rule, args.steps, args.every,
-                                 args.backend)
-    paths = write_frames(frames, Path(args.out) / "frames")
+    res = run(place_centered(side, tile), rule, args.steps, args.backend, args.every)
+    paths = write_frames(res.frames, Path(args.out) / "frames")
     print(f"{label}: {len(paths)} frames -> {paths[0].parent}")
     return 0
 

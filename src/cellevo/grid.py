@@ -81,11 +81,11 @@ class Kernel:
         return self._spectra[key]
 
 
-def _check_fits(kernel: Kernel, shape) -> None:
-    h, w = shape[-2], shape[-1]
-    if kernel.side > h or kernel.side > w:
+def check_kernel_fits(radius: int, grid_side: int) -> None:
+    """Reject a grid side below the kernel side 2 * radius + 1."""
+    if grid_side < 2 * radius + 1:
         raise ValueError(
-            f"kernel side {kernel.side} does not fit {h}x{w} grid"
+            f"kernel side {2 * radius + 1} does not fit grid_side {grid_side}"
         )
 
 
@@ -99,7 +99,7 @@ def convolve(state: np.ndarray, kernel: Kernel, backend: str = "auto") -> np.nda
     state = np.asarray(state, dtype=np.float64)
     if state.ndim < 2:
         raise ValueError("state must have at least 2 dimensions")
-    _check_fits(kernel, state.shape)
+    check_kernel_fits(kernel.radius, min(state.shape[-2:]))
     check_backend(backend)
     if backend != "direct":
         # The 1-D transforms numpy's rfft2/irfft2 run, in their order, so

@@ -21,8 +21,8 @@ import numpy as np
 from . import predictor as pred
 from .cmaes import CmaEs, default_popsize
 from .config import EvolveCaConfig, HaltingFitnessConfig
-from .grid import centered_patch_state, seed_path, substream
-from .parallel import parallel_map, worker_pool
+from .grid import centered_patch_state, check_kernel_fits, seed_path, substream
+from .parallel import parallel_map, run_search
 from .rules import GLABERISH, GrowthBump, KernelSpec, RuleParams, evolve_batch
 
 HALT_THRESHOLD = 1e-6
@@ -211,12 +211,7 @@ def check_mode(mode: str, cfg: EvolveCaConfig) -> None:
                 f"split {fitness.split} leaves an empty train or validation set"
                 f" of n_grids {fitness.n_grids}"
             )
-    kernel_side = 2 * cfg.kernel.radius + 1
-    if fitness.grid_side < kernel_side:
-        raise ValueError(
-            f"grid_side {fitness.grid_side} is smaller than the evolution"
-            f" kernel's side {kernel_side}"
-        )
+    check_kernel_fits(cfg.kernel.radius, fitness.grid_side)
 
 
 def _evaluate(args) -> float:
@@ -234,9 +229,23 @@ def _evaluate(args) -> float:
     return float(value)
 
 
-def _sample_uniform_genome(rng) -> np.ndarray:
-    """Uniform draw in squash bounds, mapped back to unbounded space."""
-    return _logit(np.clip(rng.random(GENOME_DIM), 1e-9, 1 - 1e-9))
+class UniformSearch:
+    """Random mode's ask/tell strategy, the baseline for CMA-ES.
+
+    Candidate i of generation g is a uniform draw in the squash bounds from
+    the (seed, g, i) stream, mapped back to unbounded space.
+    """
+
+    def __init__(self, seed, popsize: int):
+        self.seed, self.popsize, self.generation = seed, popsize, 0
+
+    def ask(self) -> np.ndarray:
+        unit = [substream(self.seed, self.generation + 1, i).random(GENOME_DIM)
+                for i in range(self.popsize)]
+        return _logit(np.clip(unit, 1e-9, 1 - 1e-9))
+
+    def tell(self, candidates, fitnesses) -> None:
+        self.generation += 1
 
 
 def evolve_rules(
@@ -248,62 +257,50 @@ def evolve_rules(
 ) -> EvolveCaResult:
     """Run one evolution: CMA-ES for simple/predictor, uniform for random.
 
-    Candidate i of generation g is always evaluated under the derived
-    seed (seed, g, i), so any evaluation schedule gives identical results.
-    fitness_fn(raw, eval_seed) replaces the built-in fitness when given
-    (used for landscape tests). A non-finite fitness is ranked as -1, the
-    worst, and counted in its generation's history entry as n_nonfinite.
+    `parallel.run_search` drives either strategy through ask/tell, and
+    candidate i of generation g is evaluated under the derived seed
+    (seed, g, i), so any evaluation schedule gives identical results.
+    fitness_fn(raw, eval_seed), when given, replaces the built-in fitness.
+    A non-finite fitness is told as -1 and counted in n_nonfinite. The
+    best result is the first history entry with the top best_fitness.
     """
     check_mode(mode, cfg)
     lam = cfg.popsize or default_popsize(GENOME_DIM)
-    es = None
-    if mode in ("simple", "predictor"):
-        es = CmaEs(
+    if mode == "random":
+        strategy = UniformSearch(seed, lam)
+    else:
+        strategy = CmaEs(
             np.zeros(GENOME_DIM),
             cfg.sigma0,
             seed=list(seed_path(seed, 0)),
             popsize=lam,
         )
+    n_nonfinite = []  # per generation
 
-    history: list[dict] = []
-    best_raw = None
-    best_fit = -np.inf
-    evaluations = 0
-    with worker_pool(min(workers, lam)) as pool_map:
-        for gen in range(1, cfg.generations + 1):
-            if es is not None:
-                cands = es.ask()
-            else:
-                cands = np.stack(
-                    [
-                        _sample_uniform_genome(substream(seed, gen, i))
-                        for i in range(lam)
-                    ]
-                )
-            jobs = [
-                (cands[i], mode, cfg, seed_path(seed, gen, i), fitness_fn)
-                for i in range(lam)
-            ]
-            fits = np.array(parallel_map(_evaluate, jobs, pool_map))
-            nonfinite = ~np.isfinite(fits)
-            fits[nonfinite] = -1.0
-            evaluations += lam
-            if es is not None:
-                es.tell(cands, fits)
-            gi = int(np.argmax(fits))
-            if fits[gi] > best_fit:
-                best_fit = float(fits[gi])
-                best_raw = cands[gi].copy()
-            history.append(
-                {
-                    "generation": gen,
-                    "best_fitness": float(fits[gi]),
-                    "mean_fitness": float(fits.mean()),
-                    "best_genome": [float(v) for v in cands[gi]],
-                    "n_nonfinite": int(nonfinite.sum()),
-                    "mode": mode,
-                    "seed": seed,
-                }
-            )
+    def evaluate(gen, cands, pool_map):
+        jobs = [(cands[i], mode, cfg, seed_path(seed, gen, i), fitness_fn)
+                for i in range(lam)]
+        fits = np.array(parallel_map(_evaluate, jobs, pool_map))
+        nonfinite = ~np.isfinite(fits)
+        fits[nonfinite] = -1.0
+        n_nonfinite.append(int(nonfinite.sum()))
+        return fits
+
+    def record(cands, fits):
+        gi = int(np.argmax(fits))
+        return {
+            "best_fitness": float(fits[gi]),
+            "mean_fitness": float(fits.mean()),
+            "best_genome": [float(v) for v in cands[gi]],
+            "n_nonfinite": n_nonfinite[-1],
+            "mode": mode,
+            "seed": seed,
+        }
+
+    history, evaluations = run_search(strategy, cfg.generations, evaluate, record,
+                                      min(workers, lam))
+    best = max(history, key=lambda h: h["best_fitness"])
+    best_raw = np.array(best["best_genome"])
     best_rule = genome_to_rule(best_raw, cfg.kernel, cfg.dt, name=f"evolved_{mode}")
-    return EvolveCaResult(best_rule, best_raw, best_fit, history, evaluations)
+    return EvolveCaResult(best_rule, best_raw, best["best_fitness"], history,
+                          evaluations)

@@ -89,3 +89,19 @@ def worker_pool(workers: int):
 def parallel_map(fn, items, pool_map) -> list:
     """Apply fn to every item with a map yielded by worker_pool, in order."""
     return list(pool_map(fn, items))
+
+
+def run_search(strategy, generations: int, evaluate, record, workers: int):
+    """Run ask -> evaluate(g, candidates, pool_map) -> tell -> record for
+    generations g = 1, 2, ... on one pool; return the history, whose entry g
+    is {"generation": g, **record(candidates, scores)}, and the evaluations.
+    """
+    history, evaluations = [], 0
+    with worker_pool(workers) as pool_map:
+        for gen in range(1, generations + 1):
+            candidates = strategy.ask()
+            scores = evaluate(gen, candidates, pool_map)
+            strategy.tell(candidates, scores)
+            evaluations += len(candidates)
+            history.append({"generation": gen, **record(candidates, scores)})
+    return history, evaluations

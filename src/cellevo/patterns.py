@@ -15,8 +15,8 @@ from typing import Callable
 import numpy as np
 
 from .config import PatternEvoConfig
-from .grid import place_centered, seed_path, substream
-from .parallel import parallel_map, worker_pool
+from .grid import check_kernel_fits, place_centered, substream
+from .parallel import parallel_map, run_search
 from .predictor import sigmoid
 from .rules import RuleParams, step, trajectory
 
@@ -255,23 +255,47 @@ class PatternEvoResult:
 
 
 def _eval_chunk(args):
-    tiles, rule, cfg = args
-    return evaluate_tiles(tiles, rule, cfg)
+    return evaluate_tiles(*args)  # (tiles, rule, cfg)
 
 
-def _evaluate_genomes(
-    genomes, rule, cfg, tile_side, pool_map, workers
-) -> list[PatternFitness]:
-    """Score genomes as one evaluate_tiles batch per worker."""
-    tiles = [synthesize(g, tile_side) for g in genomes]
-    chunks = np.array_split(np.arange(len(tiles)), min(workers, len(tiles)))
-    jobs = [([tiles[i] for i in chunk], rule, cfg) for chunk in chunks]
-    parts = parallel_map(_eval_chunk, jobs, pool_map)
-    return [fit for part in parts for fit in part]
+class TruncationGA:
+    """Truncation selection with mutation-only refill, on the ask/tell protocol.
+
+    The first ask() returns the initial population, genome i from the
+    (seed, 0, i) stream; each later one keeps the top `keep` genomes, whose
+    scores carry over, and returns offspring for the other slots only.
+    """
+
+    def __init__(self, cfg: PatternEvoConfig, seed):
+        self.cfg, self.seed, self.generation = cfg, seed, 0
+        self.keep = max(1, round(cfg.population * cfg.truncation))
+        self.population, self.fitnesses = [], []  # genomes, their scores
+
+    def ask(self) -> list[CppnGenome]:
+        cfg, keep = self.cfg, self.keep
+        if not self.population:
+            return [random_genome(substream(self.seed, 0, i))
+                    for i in range(cfg.population)]
+        order = sorted(range(cfg.population), key=lambda i: self.fitnesses[i].total,
+                       reverse=True)[:keep]
+        self.population = [self.population[i] for i in order]
+        self.fitnesses = [self.fitnesses[i] for i in order]
+        offspring = []
+        for slot in range(keep, cfg.population):
+            rng = substream(self.seed, self.generation + 1, slot)
+            parent = self.population[int(rng.integers(0, keep))]
+            offspring.append(mutate(parent, rng, cfg.weight_std, cfg.act_prob))
+        return offspring
+
+    def tell(self, genomes, fitnesses) -> None:
+        self.population += genomes
+        self.fitnesses += fitnesses
+        self.generation += 1
 
 
 def check_tile(rule: RuleParams, cfg: PatternEvoConfig) -> int:
     """The tile side (0 means 4 * kernel radius), between 3 and grid_side."""
+    check_kernel_fits(rule.kernel.radius, cfg.grid_side)
     tile_side = cfg.tile_side or 4 * rule.kernel.radius
     if tile_side < 3:
         raise ValueError(f"tile_side {tile_side} must be at least 3")
@@ -291,67 +315,37 @@ def evolve_patterns(
 ) -> PatternEvoResult:
     """Truncation GA: keep the top quarter, refill with mutated survivors.
 
-    Fitness is deterministic, so survivor scores are carried over instead
-    of re-evaluated. Offspring in slot i of generation g draw parent
-    choice and mutation noise from the (seed, g, i) stream.
+    `parallel.run_search` drives a `TruncationGA` through ask/tell and
+    scores each generation's new genomes as one evaluate_tiles batch per
+    worker. Offspring in slot i of generation g draw parent choice and
+    mutation noise from the (seed, g, i) stream.
     """
     tile_side = check_tile(rule, cfg)
-    keep = max(1, round(cfg.population * cfg.truncation))
+    ga = TruncationGA(cfg, seed)
 
-    population = [
-        random_genome(substream(seed, 0, i)) for i in range(cfg.population)
-    ]
+    def evaluate(gen, genomes, pool_map):
+        tiles = [synthesize(g, tile_side) for g in genomes]
+        chunks = np.array_split(np.arange(len(tiles)), min(workers, len(tiles)))
+        jobs = [([tiles[i] for i in chunk], rule, cfg) for chunk in chunks]
+        parts = parallel_map(_eval_chunk, jobs, pool_map)
+        return [fit for part in parts for fit in part]
 
-    history: list[dict] = []
+    def record(genomes, fitnesses):
+        totals = np.array([f.total for f in ga.fitnesses])
+        best = ga.fitnesses[int(np.argmax(totals))]
+        return {
+            "best_fitness": float(totals.max()),
+            "mean_fitness": float(totals.mean()),
+            "best_motility": best.motility,
+            "best_homeostasis": best.homeostasis_penalty,
+            "best_survived": best.survived,
+            "mode": "pattern",
+            "seed": seed,
+        }
 
-    def log(gen):
-        totals = np.array([f.total for f in fitnesses])
-        best = int(np.argmax(totals))
-        history.append(
-            {
-                "generation": gen,
-                "best_fitness": float(totals[best]),
-                "mean_fitness": float(totals.mean()),
-                "best_motility": fitnesses[best].motility,
-                "best_homeostasis": fitnesses[best].homeostasis_penalty,
-                "best_survived": fitnesses[best].survived,
-                "mode": "pattern",
-                "seed": seed,
-            }
-        )
-
-    with worker_pool(min(workers, cfg.population)) as pool_map:
-        fitnesses = _evaluate_genomes(
-            population, rule, cfg, tile_side, pool_map, workers
-        )
-        evaluations = cfg.population
-        log(1)
-        for gen in range(2, cfg.generations + 1):
-            order = sorted(
-                range(cfg.population), key=lambda i: fitnesses[i].total, reverse=True
-            )
-            survivors = [population[i] for i in order[:keep]]
-            survivor_fits = [fitnesses[i] for i in order[:keep]]
-            offspring = []
-            for slot in range(keep, cfg.population):
-                rng = substream(seed, gen, slot)
-                parent = survivors[int(rng.integers(0, keep))]
-                offspring.append(
-                    mutate(parent, rng, cfg.weight_std, cfg.act_prob)
-                )
-            child_fits = _evaluate_genomes(
-                offspring, rule, cfg, tile_side, pool_map, workers
-            )
-            evaluations += len(offspring)
-            population = survivors + offspring
-            fitnesses = survivor_fits + child_fits
-            log(gen)
-
-    best = max(range(cfg.population), key=lambda i: fitnesses[i].total)
-    return PatternEvoResult(
-        population[best],
-        synthesize(population[best], tile_side),
-        fitnesses[best],
-        history,
-        evaluations,
-    )
+    history, evaluations = run_search(ga, cfg.generations, evaluate, record,
+                                      min(workers, cfg.population))
+    best = max(range(cfg.population), key=lambda i: ga.fitnesses[i].total)
+    genome, fitness = ga.population[best], ga.fitnesses[best]
+    return PatternEvoResult(genome, synthesize(genome, tile_side), fitness, history,
+                            evaluations)

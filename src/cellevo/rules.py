@@ -245,13 +245,17 @@ class RunResult(NamedTuple):
     final: np.ndarray
     means: np.ndarray  # mean cell value after each step, shape (steps, ...)
     maxes: np.ndarray  # max cell value after each step
+    frames: list  # states at step 0, every `every` steps and the last step
 
 
-def run(state: np.ndarray, rule: RuleParams, steps: int, backend: str = "auto") -> RunResult:
+def run(state: np.ndarray, rule: RuleParams, steps: int, backend: str = "auto",
+        every: int = 0) -> RunResult:
     """Iterate `step` and record per-step mean/max summaries.
 
-    Slices that reach exactly 0 under an absorbing rule stop being
-    simulated; their summaries and final state read 0.
+    With every > 0 it also keeps frames, uncopied, at step 0, every `every`
+    steps and the last step. Slices that reach exactly 0 under an absorbing
+    rule stop being simulated; their summaries, frames and final state read
+    0, as one shared zero array once every slice is retired.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -260,18 +264,29 @@ def run(state: np.ndarray, rule: RuleParams, steps: int, backend: str = "auto") 
     batch = state.reshape(-1, *state.shape[-2:])
     means = np.zeros((steps, batch.shape[0]))
     maxes = np.zeros((steps, batch.shape[0]))
+    dead = np.zeros_like(batch)
+
+    def whole(active, work):
+        if active.size == len(batch):
+            return work.reshape(state.shape)
+        out = dead if not active.size else np.zeros_like(batch)
+        out[active] = work
+        return out.reshape(state.shape)
+
+    frames = [state] if every else []
     active, work = np.arange(batch.shape[0]), batch
     for t, active, work in trajectory(
         batch, lambda s: step(s, rule, backend), steps, rule.zero_is_absorbing()
     ):
         means[t - 1, active] = work.mean(axis=(-2, -1))
         maxes[t - 1, active] = work.max(axis=(-2, -1))
-    final = np.zeros_like(batch)
-    final[active] = work
+        if every and (t % every == 0 or t == steps):
+            frames.append(whole(active, work))
     return RunResult(
-        final.reshape(state.shape),
+        whole(active, work) if steps else state.copy(),
         means.reshape(steps, *lead),
         maxes.reshape(steps, *lead),
+        frames,
     )
 
 
@@ -321,7 +336,7 @@ def from_json(cls, data, what: str):
         if f.default is MISSING and f.default_factory is MISSING
     }
     _require_keys(data, {f.name for f in fields}, required, what)
-    hints = get_type_hints(cls)
+    hints = _type_hints(cls)
     return cls(**{key: json_value(value, hints[key], key, what)
                   for key, value in data.items()})
 
@@ -329,6 +344,7 @@ def from_json(cls, data, what: str):
 # JSON types each scalar annotation accepts; a bool is never a number.
 _JSON_SCALARS = {int: (int, "an integer"), float: ((int, float), "a number"),
                  str: (str, "a string")}
+_type_hints = lru_cache(maxsize=None)(get_type_hints)  # evaluated once per class
 
 
 def json_value(value, hint, key: str, what: str):

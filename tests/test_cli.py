@@ -526,6 +526,19 @@ def test_evolve_ca_grid_smaller_than_kernel_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["metrics", "--rule", "Orbium", "--grid-side", "16", "--patch-side", "4",
+     "--box-side", "8", "--n-grids", "1", "--window", "1"],
+    ["evolve-pattern", "--rule", "Orbium", "--grid-side", "20", "--tile-side",
+     "8", "--generations", "1", "--population", "2", "--steps", "8"],
+], ids=["metrics", "evolve-pattern"])
+def test_grid_smaller_than_rule_kernel_is_usage_error(tmp_path, argv, capsys):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert "grid_side" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "key, value, named",
     [("height", 2.5, "'height'"), ("width", "1", "'width'"),

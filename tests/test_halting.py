@@ -301,6 +301,31 @@ class TestEvolveRules:
         assert one.history == two.history
         assert one.best_raw.tobytes() == two.best_raw.tobytes()
 
+    def test_random_mode_workers_do_not_change_results(self):
+        cfg = EvolveCaConfig(generations=3, popsize=5, kernel=SMALL_KERNEL)
+        one = evolve_rules("random", cfg, seed=11, fitness_fn=quadratic_fitness,
+                           workers=1)
+        two = evolve_rules("random", cfg, seed=11, fitness_fn=quadratic_fitness,
+                           workers=2)
+        assert one.history == two.history
+        assert one.best_raw.tobytes() == two.best_raw.tobytes()
+        assert one.best_fitness == two.best_fitness
+
+    @pytest.mark.parametrize("mode", ["simple", "random"])
+    def test_constant_landscape_keeps_generation_one_best(self, mode):
+        # Every candidate ties, so the best is generation 1's first candidate.
+        first = {}
+
+        def constant(raw, eval_seed):
+            first.setdefault(tuple(eval_seed), np.array(raw))
+            return -0.5
+
+        cfg = EvolveCaConfig(generations=4, kernel=SMALL_KERNEL)
+        res = evolve_rules(mode, cfg, seed=7, fitness_fn=constant)
+        assert res.best_fitness == -0.5
+        assert res.best_raw.tobytes() == first[(7, 1, 0)].tobytes()
+        assert res.history[0]["best_genome"] == list(first[(7, 1, 0)])
+
     def test_simple_real_fitness_end_to_end(self):
         res = evolve_rules("simple", FAST_EVO, seed=7)
         assert -0.25 <= res.best_fitness <= 0.0
