@@ -65,9 +65,15 @@ def _resolve_rule(args):
         return load_preset(args.rule)
 
 
-def _require_at_least(flag: str, value: int, low: int) -> None:
-    if value < low:
-        raise _UsageError(f"{flag} must be at least {low}, got {value}")
+def _int_at_least(low: int):
+    """An argparse type: an integer that is at least `low`."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type when int() fails
+    return parse
 
 
 # The config-backed flags of each subcommand: its config class and the
@@ -118,6 +124,17 @@ def _build_config(args):
         return cls.from_dict(data)
 
 
+def _setup(args, check=None):
+    """Build the config, run the subcommand's `check(cfg)`, then create --out."""
+    cfg = _build_config(args)
+    if check is not None:
+        with _usage_errors():
+            check(cfg)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return cfg, out
+
+
 def _cmd_presets(args) -> int:
     for name in preset_names():
         print(name)
@@ -126,9 +143,7 @@ def _cmd_presets(args) -> int:
 
 def _cmd_simulate(args) -> int:
     rule = _resolve_rule(args)
-    cfg = _build_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    cfg, out = _setup(args)
     rng = substream(args.seed, 0)
     if cfg.init == "patch":
         state = centered_patch_state(cfg.side, cfg.effective_patch, rng)
@@ -161,12 +176,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_evolve_ca(args) -> int:
-    _require_at_least("--workers", args.workers, 1)
-    cfg = _build_config(args)
-    with _usage_errors():
-        check_mode(args.mode, cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    cfg, out = _setup(args, lambda cfg: check_mode(args.mode, cfg))
     result = evolve_rules(args.mode, cfg, args.seed, workers=args.workers)
     save_history(result.history, out / "history.jsonl")
     save_rule(result.best_rule, out / "best_rule.json")
@@ -178,13 +188,8 @@ def _cmd_evolve_ca(args) -> int:
 
 
 def _cmd_evolve_pattern(args) -> int:
-    _require_at_least("--workers", args.workers, 1)
     rule = _resolve_rule(args)
-    cfg = _build_config(args)
-    with _usage_errors():
-        check_tile(rule, cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    cfg, out = _setup(args, lambda cfg: check_tile(rule, cfg))
     result = evolve_patterns(rule, cfg, args.seed, workers=args.workers)
     save_history(result.history, out / "history.jsonl")
     # Reference the rule by name when it came from a shipped preset so the
@@ -206,11 +211,8 @@ def _cmd_evolve_pattern(args) -> int:
 
 def _cmd_metrics(args) -> int:
     rule = _resolve_rule(args)
-    cfg = _build_config(args)
-    with _usage_errors():
-        check_kernel_fits(rule.kernel.radius, cfg.grid_side)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    cfg, out = _setup(
+        args, lambda cfg: check_kernel_fits(rule.kernel.radius, cfg.grid_side))
     report = compute_metrics(rule, cfg, args.seed)
     save_metrics(report, out / "metrics.json")
     save_metrics_csv([report], out / "metrics.csv")
@@ -220,25 +222,20 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    _require_at_least("--every", args.every, 1)
-    _require_at_least("--steps", args.steps, 0)
-    if args.pattern:
-        with _usage_errors():
+    with _usage_errors():
+        if args.pattern:
             pattern = load_pattern(args.pattern)
-        rule, tile = pattern.rule, pattern.tile
-        label = pattern.name
-    else:
-        # Demo mode: render a random synthesis tile under the Orbium rule.
-        rule = load_preset("Orbium")
-        tile = synthesize(random_genome(substream(args.seed, 0)),
-                          4 * rule.kernel.radius)
-        label = "demo"
-    side = args.grid_side
-    if tile.shape[0] > side or tile.shape[1] > side:
-        raise _UsageError(
-            f"tile {tile.shape} does not fit in a {side}x{side} grid"
-        )
-    res = run(place_centered(side, tile), rule, args.steps, args.backend, args.every)
+            rule, tile = pattern.rule, pattern.tile
+            label = pattern.name
+        else:
+            # Demo mode: render a random synthesis tile under the Orbium rule.
+            rule = load_preset("Orbium")
+            tile = synthesize(random_genome(substream(args.seed, 0)),
+                              4 * rule.kernel.radius)
+            label = "demo"
+        check_kernel_fits(rule.kernel.radius, args.grid_side)
+        state = place_centered(args.grid_side, tile)
+    res = run(state, rule, args.steps, args.backend, args.every)
     paths = write_frames(res.frames, Path(args.out) / "frames")
     print(f"{label}: {len(paths)} frames -> {paths[0].parent}")
     return 0
@@ -246,7 +243,7 @@ def _cmd_render(args) -> int:
 
 def _add_common(parser, command):
     """--seed, --out, --config and one flag per config field of `command`."""
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=_int_at_least(0), default=0,
                         help="master RNG seed (default %(default)s)")
     parser.add_argument("--out", default=".",
                         help="output directory (default %(default)s)")
@@ -286,14 +283,14 @@ def build_parser() -> _Parser:
                                          "halting unpredictability")
     _add_common(p, "evolve-ca")
     p.add_argument("--mode", default="simple", help=" | ".join(MODES))
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.set_defaults(handler=_cmd_evolve_ca)
 
     p = sub.add_parser("evolve-pattern", help="evolve synthesis tiles under "
                                               "a fixed rule")
     _add_rule_args(p)
     _add_common(p, "evolve-pattern")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.set_defaults(handler=_cmd_evolve_pattern)
 
     p = sub.add_parser("metrics", help="fertility/mortality over seeded grids")
@@ -305,15 +302,15 @@ def build_parser() -> _Parser:
     p.add_argument("--pattern", default=None, metavar="FILE",
                    help="pattern JSON file (default: a seeded demo tile "
                         "under Orbium)")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_int_at_least(0), default=0,
                    help="seed for the demo tile (default %(default)s)")
     p.add_argument("--out", default=".",
                    help="output directory (default %(default)s)")
     p.add_argument("--backend", choices=BACKENDS,
                    default="auto")
     p.add_argument("--grid-side", type=int, default=128)
-    p.add_argument("--steps", type=int, default=256)
-    p.add_argument("--every", type=int, default=4,
+    p.add_argument("--steps", type=_int_at_least(0), default=256)
+    p.add_argument("--every", type=_int_at_least(1), default=4,
                    help="frame stride in steps (default %(default)s)")
     p.set_defaults(handler=_cmd_render)
 

@@ -81,6 +81,10 @@ class HaltingFitnessConfig(_FromDict):
             raise ValueError("n_grids must be at least 2")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
+        if not 0 <= self.patch_side <= self.grid_side:
+            raise ValueError("patch_side must lie in [0, grid_side]")
+        if self.epochs < 0:
+            raise ValueError("epochs must be nonnegative")
         if self.n_predictors < 1:
             raise ValueError("n_predictors must be at least 1")
         if not 0.0 < self.split < 1.0:
@@ -146,6 +150,10 @@ class PatternEvoConfig(_FromDict):
             raise ValueError("steps must be at least 1")
         if not 1 <= self.stride <= self.steps:
             raise ValueError("stride must lie in [1, steps]")
+        if not (math.isfinite(self.weight_std) and self.weight_std >= 0):
+            raise ValueError("weight_std must be nonnegative and finite")
+        if not 0.0 <= self.act_prob <= 1.0:
+            raise ValueError("act_prob must lie in [0, 1]")
         check_backend(self.backend)
 
 

@@ -568,3 +568,47 @@ def test_missing_input_file_is_usage_error(tmp_path, argv, capsys):
     assert main([*argv, str(tmp_path / "nope.json"), "--out", str(out)]) == 1
     assert "nope.json" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_render_grid_smaller_than_pattern_kernel_is_usage_error(tmp_path,
+                                                                capsys):
+    path = save_pattern(tmp_path / "p.json", name="g", tile=np.ones((2, 2)),
+                        rule="Orbium")
+    argv = ["render", "--pattern", str(path), "--grid-side", "8", "--steps",
+            "1", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    assert "grid_side 8" in capsys.readouterr().err
+    assert not (tmp_path / "frames").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--steps", "1", "--side", "32"],
+    EVOLVE_CA,
+    EVOLVE_PATTERN,
+    ["metrics", "--n-grids", "1", "--window", "1"],
+    ["render", "--steps", "1", "--grid-side", "64"],
+], ids=["simulate", "evolve-ca", "evolve-pattern", "metrics", "render"])
+def test_negative_seed_is_usage_error(tmp_path, argv, capsys):
+    out = tmp_path / "out"
+    assert main([*argv, "--seed", "-1", "--out", str(out)]) == 1
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, config, field", [
+    ([*EVOLVE_CA, "--grid-side", "64"], {"fitness": {"patch_side": 100}},
+     "patch_side"),
+    (EVOLVE_CA, {"fitness": {"patch_side": -3}}, "patch_side"),
+    (EVOLVE_CA, {"fitness": {"epochs": -1}}, "epochs"),
+    (EVOLVE_PATTERN, {"weight_std": -1.0}, "weight_std"),
+    (EVOLVE_PATTERN, {"act_prob": 2.0}, "act_prob"),
+], ids=["patch_side-above-grid", "patch_side-negative", "epochs", "weight_std",
+        "act_prob"])
+def test_config_only_field_out_of_range_is_usage_error(tmp_path, argv, config,
+                                                       field, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 1
+    assert field in capsys.readouterr().err
+    assert not out.exists()

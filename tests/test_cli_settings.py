@@ -1,0 +1,142 @@
+"""Property: a small setting either runs or is refused before --out exists.
+
+For each subcommand, hypothesis draws small settings with zero, negative
+and below-kernel-side values mixed in, plus --config files that set
+config-only fields and, for render, --pattern files with small tiles.
+Every run must exit 0, or exit 1 with a `cellevo: error:` message and no
+--out. The one exit 2 allowed is simulate on a grid smaller than its
+rule's kernel, the runtime error that test_runtime_error_is_2 pins.
+"""
+import contextlib
+import io
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from cellevo.cli import main
+from cellevo.config import DEFAULT_EVO_KERNEL
+from cellevo.halting import MODES
+from cellevo.io import save_pattern
+from cellevo.rules import load_preset
+
+RULES = ("Orbium", "s613")
+SEED = (st.integers(0, 3), st.integers(-2, -1))
+
+
+def kernel_side(rule):
+    return 2 * load_preset(rule).kernel.radius + 1
+
+
+def ints(low, high):
+    """Usual values in [low, high]; bad values are zero, negative or below low."""
+    return st.integers(low, high), st.integers(-2, low - 1)
+
+
+@st.composite
+def values(draw, **specs):
+    """One value per (usual, bad) spec; at most one is drawn from its bad values."""
+    bad = draw(st.sampled_from([None, *specs]))
+    return {name: draw(bad_values if name == bad else usual)
+            for name, (usual, bad_values) in specs.items()}
+
+
+def flags(**values):
+    argv = []
+    for name, value in values.items():
+        argv += ["--" + name.replace("_", "-"), str(value)]
+    return argv
+
+
+# Each strategy draws (argv, config dict or None, pattern or None, whether
+# exit 2 is allowed); a pattern is (tile, preset name).
+
+@st.composite
+def simulate(draw):
+    rule = draw(st.sampled_from(RULES))
+    v = draw(values(seed=SEED, side=ints(kernel_side(rule), 64),
+                    steps=ints(0, 8), patch_side=ints(0, 32),
+                    frames_every=ints(0, 4)))
+    init = draw(st.sampled_from(["patch", "uniform"]))
+    argv = ["simulate", "--rule", rule, "--init", init, *flags(**v)]
+    return argv, None, None, v["side"] < kernel_side(rule)
+
+
+@st.composite
+def evolve_ca(draw):
+    mode = draw(st.sampled_from(MODES))
+    low_side = 64 if mode == "predictor" else 2 * DEFAULT_EVO_KERNEL.radius + 1
+    v = draw(values(seed=SEED, generations=ints(1, 2), popsize=ints(2, 4),
+                    n_grids=ints(4, 8), grid_side=ints(low_side, 64),
+                    horizon=ints(1, 8), epochs=ints(0, 1), workers=ints(1, 2),
+                    patch_side=(st.integers(0, 48), st.integers(-3, -1))))
+    config = {"fitness": {"patch_side": v.pop("patch_side")}}
+    return ["evolve-ca", "--mode", mode, *flags(**v)], config, None, False
+
+
+@st.composite
+def evolve_pattern(draw):
+    rule = draw(st.sampled_from(RULES))
+    v = draw(values(
+        seed=SEED, grid_side=ints(kernel_side(rule), 64),
+        tile_side=ints(3, 16), steps=ints(1, 8), population=ints(2, 4),
+        generations=ints(1, 2), workers=ints(1, 2), stride=ints(1, 1),
+        weight_std=(st.floats(0.0, 0.5),
+                    st.sampled_from([-1.0, math.nan, math.inf])),
+        act_prob=(st.floats(0.0, 1.0), st.sampled_from([-0.5, 2.0, math.nan]))))
+    config = {name: v.pop(name) for name in ("stride", "weight_std", "act_prob")}
+    return ["evolve-pattern", "--rule", rule, *flags(**v)], config, None, False
+
+
+@st.composite
+def metrics(draw):
+    rule = draw(st.sampled_from(RULES))
+    v = draw(values(seed=SEED, grid_side=ints(kernel_side(rule), 64),
+                    n_grids=ints(1, 8), patch_side=ints(1, 16),
+                    box_side=ints(1, 16), window=ints(1, 8)))
+    return ["metrics", "--rule", rule, *flags(**v)], None, None, False
+
+
+@st.composite
+def render(draw):
+    tile = st.builds(np.full, st.tuples(st.integers(1, 4), st.integers(1, 4)),
+                     st.floats(0.0, 1.0))
+    pattern = draw(st.none() | st.tuples(tile, st.sampled_from(RULES)))
+    rule = pattern[1] if pattern else "Orbium"
+    v = draw(values(seed=SEED, grid_side=ints(kernel_side(rule), 64),
+                    steps=ints(0, 8), every=ints(1, 4)))
+    return ["render", *flags(**v)], None, pattern, False
+
+
+COMMANDS = {"simulate": simulate(), "evolve-ca": evolve_ca(),
+            "evolve-pattern": evolve_pattern(), "metrics": metrics(),
+            "render": render()}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_small_setting_runs_or_is_refused_before_out(tmp_path_factory,
+                                                     command, data):
+    argv, config, pattern, exit_2_allowed = data.draw(COMMANDS[command])
+    tmp = tmp_path_factory.mktemp(command)  # fresh per example
+    if config is not None:
+        (tmp / "config.json").write_text(json.dumps(config))
+        argv = [*argv, "--config", str(tmp / "config.json")]
+    if pattern is not None:
+        tile, rule = pattern
+        path = save_pattern(tmp / "pattern.json", name="p", tile=tile, rule=rule)
+        argv = [*argv, "--pattern", str(path)]
+    out = tmp / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main([*argv, "--out", str(out)])
+    event(f"exit {code}")
+    assert code in ((0, 1, 2) if exit_2_allowed else (0, 1)), err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith("cellevo: error:")
+        assert not out.exists()
