@@ -19,8 +19,8 @@ from .config import (
     SimulateConfig,
     load_config_file,
 )
-from .grid import (BACKENDS, centered_patch_state, check_kernel_fits,
-                   place_centered, substream)
+from .grid import (centered_patch_state, check_kernel_fits, place_centered,
+                   substream)
 from .halting import MODES, check_mode, evolve_rules
 from .io import (
     load_pattern,
@@ -81,21 +81,17 @@ def _int_at_least(low: int):
 # fitness section. Flag --patch-side sets field patch_side, and its type is
 # the type of the field's default.
 _CONFIG_FLAGS = {
-    "simulate": (SimulateConfig, ("backend", "side", "steps", "init",
-                                  "patch_side", "frames_every")),
+    "simulate": (SimulateConfig, ("side", "steps", "init", "patch_side",
+                                  "frames_every")),
     "evolve-ca": (EvolveCaConfig, (
-        "fitness.backend", "generations", "popsize", "sigma0", "dt",
-        "fitness.n_grids", "fitness.grid_side", "fitness.horizon",
-        "fitness.epochs")),
-    "evolve-pattern": (PatternEvoConfig, ("backend", "grid_side", "tile_side",
-                                          "steps", "population",
-                                          "generations")),
-    "metrics": (MetricsConfig, ("backend", "n_grids", "grid_side",
-                                "patch_side", "box_side", "window")),
+        "generations", "popsize", "sigma0", "dt", "fitness.n_grids",
+        "fitness.grid_side", "fitness.horizon", "fitness.epochs")),
+    "evolve-pattern": (PatternEvoConfig, ("grid_side", "tile_side", "steps",
+                                          "population", "generations")),
+    "metrics": (MetricsConfig, ("n_grids", "grid_side", "patch_side",
+                                "box_side", "window")),
 }
 _FLAG_HELP = {
-    "backend": "convolution backend",
-    "fitness.backend": "convolution backend",
     "fitness.n_grids": "halting dataset size per candidate",
     "frames_every": "write a PGM frame every K steps (0 = no frames)",
 }
@@ -150,7 +146,7 @@ def _cmd_simulate(args) -> int:
     else:
         state = rng.random((cfg.side, cfg.side))
 
-    res = run(state, rule, cfg.steps, cfg.backend, cfg.frames_every)
+    res = run(state, rule, cfg.steps, every=cfg.frames_every)
     if cfg.frames_every > 0 and cfg.steps > 0:
         write_frames(res.frames, out / "frames")
 
@@ -161,7 +157,6 @@ def _cmd_simulate(args) -> int:
         "steps": cfg.steps,
         "init": cfg.init,
         "seed": args.seed,
-        "backend": cfg.backend,
         "final_mean": float(res.final.mean()),
         "final_max": float(res.final.max()),
         "means": res.means.tolist(),
@@ -235,7 +230,7 @@ def _cmd_render(args) -> int:
             label = "demo"
         check_kernel_fits(rule.kernel.radius, args.grid_side)
         state = place_centered(args.grid_side, tile)
-    res = run(state, rule, args.steps, args.backend, args.every)
+    res = run(state, rule, args.steps, every=args.every)
     paths = write_frames(res.frames, Path(args.out) / "frames")
     print(f"{label}: {len(paths)} frames -> {paths[0].parent}")
     return 0
@@ -306,8 +301,6 @@ def build_parser() -> _Parser:
                    help="seed for the demo tile (default %(default)s)")
     p.add_argument("--out", default=".",
                    help="output directory (default %(default)s)")
-    p.add_argument("--backend", choices=BACKENDS,
-                   default="auto")
     p.add_argument("--grid-side", type=int, default=128)
     p.add_argument("--steps", type=_int_at_least(0), default=256)
     p.add_argument("--every", type=_int_at_least(1), default=4,

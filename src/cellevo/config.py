@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .grid import check_backend
 from .rules import KernelSpec, from_json
 
 # Kernel used when evolving new rules (the wide three-ring neighborhood).
@@ -39,7 +38,6 @@ class SimulateConfig(_FromDict):
     steps: int = 512
     init: str = "patch"  # "patch" (centered noise) or "uniform" (full noise)
     patch_side: int = 0  # 0 = side // 2
-    backend: str = "auto"
     frames_every: int = 0  # write a PGM frame every k steps; 0 = none
 
     def __post_init__(self):
@@ -53,7 +51,6 @@ class SimulateConfig(_FromDict):
             raise ValueError("patch_side must lie in [0, side]")
         if self.frames_every < 0:
             raise ValueError("frames_every must be nonnegative")
-        check_backend(self.backend)
 
     @property
     def effective_patch(self) -> int:
@@ -73,7 +70,6 @@ class HaltingFitnessConfig(_FromDict):
     n_predictors: int = 3
     epochs: int = 20
     split: float = 0.75
-    backend: str = "auto"
     seed: int | tuple = 0
 
     def __post_init__(self):
@@ -89,7 +85,6 @@ class HaltingFitnessConfig(_FromDict):
             raise ValueError("n_predictors must be at least 1")
         if not 0.0 < self.split < 1.0:
             raise ValueError("split must lie strictly between 0 and 1")
-        check_backend(self.backend)
 
 
 @dataclass(frozen=True)
@@ -137,7 +132,6 @@ class PatternEvoConfig(_FromDict):
     act_prob: float = 0.05  # per-node activation resample probability
     survival_threshold: float = 0.01
     lambda_homeo: float = 10.0
-    backend: str = "auto"
 
     def __post_init__(self):
         if self.population < 2:
@@ -154,7 +148,10 @@ class PatternEvoConfig(_FromDict):
             raise ValueError("weight_std must be nonnegative and finite")
         if not 0.0 <= self.act_prob <= 1.0:
             raise ValueError("act_prob must lie in [0, 1]")
-        check_backend(self.backend)
+        if not math.isfinite(self.survival_threshold):
+            raise ValueError("survival_threshold must be finite")
+        if not math.isfinite(self.lambda_homeo):
+            raise ValueError("lambda_homeo must be finite")
 
 
 @dataclass(frozen=True)
@@ -166,7 +163,6 @@ class MetricsConfig(_FromDict):
     patch_side: int = 32
     box_side: int = 64  # escape box, centered
     window: int = 512  # two consecutive windows of this many steps
-    backend: str = "auto"
 
     def __post_init__(self):
         if self.n_grids < 1:
@@ -177,7 +173,6 @@ class MetricsConfig(_FromDict):
             raise ValueError("patch_side must fit the grid")
         if not 0 < self.box_side < self.grid_side:
             raise ValueError("box_side must be strictly inside the grid")
-        check_backend(self.backend)
 
 
 def load_config_file(path) -> dict:

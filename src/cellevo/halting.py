@@ -56,7 +56,6 @@ def generate_dataset(
     horizon: int,
     seed,
     patch_side: int = 0,
-    backend: str = "auto",
 ) -> HaltingDataset:
     """Simulate `count` seeded initial grids to `horizon` and label them.
 
@@ -74,7 +73,7 @@ def generate_dataset(
             for i in range(count)
         ]
     )
-    finals = evolve_batch(grids, rule, horizon, backend)
+    finals = evolve_batch(grids, rule, horizon)
     labels = finals.reshape(count, -1).max(axis=1) > HALT_THRESHOLD
     return HaltingDataset(grids, labels, horizon, rule)
 
@@ -93,7 +92,6 @@ def _fitness_dataset(rule: RuleParams, cfg: HaltingFitnessConfig) -> HaltingData
         cfg.horizon,
         seed_path(cfg.seed, 0),
         patch_side=cfg.patch_side,
-        backend=cfg.backend,
     )
 
 

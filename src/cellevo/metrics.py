@@ -106,7 +106,7 @@ def compute_metrics(rule: RuleParams, cfg: MetricsConfig, seed: int) -> MetricsR
     mortality = []
     escaped_now = np.zeros(n, dtype=bool)
     for t, active, work in trajectory(
-        work, lambda s: step(s, rule, cfg.backend), 2 * cfg.window,
+        work, lambda s: step(s, rule), 2 * cfg.window,
         rule.zero_is_absorbing(),
     ):
         escaped_now[active] |= _outside_max(work, cfg.box_side) > ESCAPE_THRESHOLD

@@ -206,9 +206,7 @@ def evaluate_tiles(
     final_mean = np.zeros(n)
 
     retire = step_fn is None and rule.zero_is_absorbing()
-    advance = step_fn if step_fn is not None else (
-        lambda s: step(s, rule, cfg.backend)
-    )
+    advance = step_fn if step_fn is not None else (lambda s: step(s, rule))
     for t, active, work in trajectory(states, advance, cfg.steps, retire):
         if t not in checkpoints:
             continue

@@ -186,7 +186,7 @@ class RuleParams:
 BLOCK_CELLS = 1 << 14
 
 
-def step(state: np.ndarray, rule: RuleParams, backend: str = "auto") -> np.ndarray:
+def step(state: np.ndarray, rule: RuleParams, backend: str = "fft") -> np.ndarray:
     """One update A' = clip(A + dt * delta(A, K*A), 0, 1), batched over leading axes.
 
     The update overwrites the neighborhood sums returned by `convolve`,
@@ -248,7 +248,7 @@ class RunResult(NamedTuple):
     frames: list  # states at step 0, every `every` steps and the last step
 
 
-def run(state: np.ndarray, rule: RuleParams, steps: int, backend: str = "auto",
+def run(state: np.ndarray, rule: RuleParams, steps: int, backend: str = "fft",
         every: int = 0) -> RunResult:
     """Iterate `step` and record per-step mean/max summaries.
 
@@ -291,7 +291,7 @@ def run(state: np.ndarray, rule: RuleParams, steps: int, backend: str = "auto",
 
 
 def evolve_batch(
-    state: np.ndarray, rule: RuleParams, steps: int, backend: str = "auto"
+    state: np.ndarray, rule: RuleParams, steps: int, backend: str = "fft"
 ) -> np.ndarray:
     """Advance a (N, H, W) batch `steps` updates, returning only the final states.
 

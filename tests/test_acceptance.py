@@ -133,8 +133,7 @@ def test_criterion_05_cmaes_solves_ten_dimensional_sphere_three_seeds():
 
 
 def test_criterion_06_balance_scan_maximizer_is_near_half_active():
-    cfg = HaltingFitnessConfig(n_grids=32, grid_side=40, horizon=32, seed=0,
-                               backend="fft")
+    cfg = HaltingFitnessConfig(n_grids=32, grid_side=40, horizon=32, seed=0)
     best = -np.inf
     for g_mu in np.linspace(0.0, 0.25, 21):
         for p_mu in np.linspace(0.0, 0.25, 21):
@@ -148,7 +147,7 @@ def test_criterion_06_balance_scan_maximizer_is_near_half_active():
 
 
 def test_criterion_07_predictor_fitness_floor_and_ceiling():
-    cfg = HaltingFitnessConfig(seed=0, backend="fft")
+    cfg = HaltingFitnessConfig(seed=0)
     f_decay = predictor_fitness(ALWAYS_DECAY, cfg)
     assert f_decay <= -0.9, f"always-decay fitness {f_decay:.3f}"
 
@@ -166,7 +165,7 @@ def test_criterion_07_predictor_fitness_floor_and_ceiling():
 
 def test_criterion_08_metric_oracles_at_full_scale():
     t0 = time.perf_counter()
-    cfg = MetricsConfig(backend="fft")  # 128 grids, 128x128, 2x512 steps
+    cfg = MetricsConfig()  # 128 grids, 128x128, 2x512 steps
     decayed = compute_metrics(ALWAYS_DECAY, cfg, seed=0)
     assert decayed.mortality == (1.0, 1.0)
     assert decayed.fertility == (0.0, 0.0)
@@ -185,7 +184,7 @@ def test_criterion_09_glaberish_presets_split_by_mortality_direction():
     # time step and kernel radius behind these presets are reconstructions,
     # so the gate is the direction each preset falls relative to one-half,
     # not the exact ratios; measured values are recorded in the messages.
-    cfg = MetricsConfig(backend="fft")  # 128 grids, 128x128, 2x512 steps
+    cfg = MetricsConfig()  # 128 grids, 128x128, 2x512 steps
     for name in ("s613", "s643"):
         mort = compute_metrics(load_preset(name), cfg, seed=0).mortality
         assert mort[0] < 0.5 and mort[1] < 0.5, f"{name} mortality {mort}"

@@ -1,5 +1,6 @@
 """End-to-end subcommand runs in temp directories."""
 import json
+import math
 
 import numpy as np
 import pytest
@@ -21,6 +22,14 @@ EVOLVE_CA = ["evolve-ca", "--mode", "simple", "--generations", "2",
 EVOLVE_PATTERN = ["evolve-pattern", "--rule", "Orbium", "--generations", "2",
                   "--population", "4", "--steps", "8", "--grid-side", "64",
                   "--tile-side", "16"]
+# One small run of each subcommand that takes settings.
+EVERY_COMMAND = pytest.mark.parametrize("argv", [
+    ["simulate", "--steps", "1", "--side", "32"],
+    EVOLVE_CA,
+    EVOLVE_PATTERN,
+    ["metrics", "--n-grids", "1", "--window", "1"],
+    ["render", "--steps", "1", "--grid-side", "64"],
+], ids=["simulate", "evolve-ca", "evolve-pattern", "metrics", "render"])
 
 
 def read_bytes_tree(root):
@@ -87,6 +96,9 @@ class TestSimulate:
                 "--out", str(tmp_path)]
         assert main(args) == 0
         summary = json.loads((tmp_path / "summary.json").read_text())
+        assert list(summary) == ["rule", "framework", "side", "steps", "init",
+                                 "seed", "final_mean", "final_max", "means",
+                                 "maxes"]
         assert summary["steps"] == 0
         assert summary["means"] == []
         assert summary["rule"] == "Orbium"
@@ -192,19 +204,28 @@ def test_workers_below_one_is_usage_error(tmp_path, argv, workers, capsys):
 @pytest.mark.parametrize(
     "argv, config",
     [
-        (["simulate", "--steps", "1"], {"backend": "bogus"}),
-        (EVOLVE_CA, {"fitness": {"backend": "bogus"}}),
-        (EVOLVE_PATTERN, {"backend": "bogus"}),
-        (["metrics", "--n-grids", "1", "--window", "1"], {"backend": "bogus"}),
+        (["simulate", "--steps", "1"], {"backend": "fft"}),
+        (EVOLVE_CA, {"fitness": {"backend": "fft"}}),
+        (EVOLVE_PATTERN, {"backend": "fft"}),
+        (["metrics", "--n-grids", "1", "--window", "1"], {"backend": "fft"}),
     ],
     ids=["simulate", "evolve-ca", "evolve-pattern", "metrics"],
 )
 def test_config_backend_is_validated(tmp_path, argv, config, capsys):
+    """A backend key left in an old config file is an unknown key."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "out"
     assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 1
-    assert "backend 'bogus'" in capsys.readouterr().err
+    assert "field 'backend'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@EVERY_COMMAND
+def test_backend_flag_is_unknown(tmp_path, argv, capsys):
+    out = tmp_path / "out"
+    assert main([*argv, "--backend", "fft", "--out", str(out)]) == 1
+    assert "--backend" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -302,27 +323,24 @@ class TestConfigFlags:
     CASES = [
         ("simulate", SimulateConfig,
          ["--side", "64", "--steps", "3", "--init", "uniform",
-          "--patch-side", "8", "--backend", "fft", "--frames-every", "2"],
-         dict(side=64, steps=3, init="uniform", patch_side=8, backend="fft",
-              frames_every=2)),
+          "--patch-side", "8", "--frames-every", "2"],
+         dict(side=64, steps=3, init="uniform", patch_side=8, frames_every=2)),
         ("evolve-ca", EvolveCaConfig,
          ["--generations", "3", "--popsize", "4", "--sigma0", "0.25",
           "--dt", "0.2", "--n-grids", "6", "--grid-side", "40",
-          "--horizon", "5", "--epochs", "2", "--backend", "direct"],
+          "--horizon", "5", "--epochs", "2"],
          dict(generations=3, popsize=4, sigma0=0.25, dt=0.2)),
         ("evolve-pattern", PatternEvoConfig,
          ["--grid-side", "64", "--tile-side", "16", "--steps", "8",
-          "--population", "4", "--generations", "2", "--backend", "fft"],
+          "--population", "4", "--generations", "2"],
          dict(grid_side=64, tile_side=16, steps=8, population=4,
-              generations=2, backend="fft")),
+              generations=2)),
         ("metrics", MetricsConfig,
          ["--n-grids", "4", "--grid-side", "32", "--patch-side", "8",
-          "--box-side", "16", "--window", "4", "--backend", "direct"],
-         dict(n_grids=4, grid_side=32, patch_side=8, box_side=16, window=4,
-              backend="direct")),
+          "--box-side", "16", "--window", "4"],
+         dict(n_grids=4, grid_side=32, patch_side=8, box_side=16, window=4)),
     ]
-    FITNESS = dict(n_grids=6, grid_side=40, horizon=5, epochs=2,
-                   backend="direct")
+    FITNESS = dict(n_grids=6, grid_side=40, horizon=5, epochs=2)
 
     @pytest.mark.parametrize("command, cls, flags, expected", CASES,
                              ids=[c[0] for c in CASES])
@@ -347,11 +365,11 @@ class TestConfigFlags:
             "n_predictors": 2, "split": 0.5, "horizon": 9, "epochs": 7}}))
         built = _capture_config(monkeypatch, EvolveCaConfig)
         argv = ["evolve-ca", "--config", str(cfg_file), "--horizon", "5",
-                "--backend", "fft", "--out", str(tmp_path / "out")]
+                "--grid-side", "96", "--out", str(tmp_path / "out")]
         assert main(argv) == 2
         cfg = built[0]
         assert cfg.generations == 4
-        assert (cfg.fitness.horizon, cfg.fitness.backend) == (5, "fft")
+        assert (cfg.fitness.horizon, cfg.fitness.grid_side) == (5, 96)
         assert (cfg.fitness.n_predictors, cfg.fitness.split) == (2, 0.5)
         assert cfg.fitness.epochs == 7
         assert cfg.fitness.n_grids == HaltingFitnessConfig().n_grids
@@ -581,13 +599,7 @@ def test_render_grid_smaller_than_pattern_kernel_is_usage_error(tmp_path,
     assert not (tmp_path / "frames").exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["simulate", "--steps", "1", "--side", "32"],
-    EVOLVE_CA,
-    EVOLVE_PATTERN,
-    ["metrics", "--n-grids", "1", "--window", "1"],
-    ["render", "--steps", "1", "--grid-side", "64"],
-], ids=["simulate", "evolve-ca", "evolve-pattern", "metrics", "render"])
+@EVERY_COMMAND
 def test_negative_seed_is_usage_error(tmp_path, argv, capsys):
     out = tmp_path / "out"
     assert main([*argv, "--seed", "-1", "--out", str(out)]) == 1
@@ -602,8 +614,13 @@ def test_negative_seed_is_usage_error(tmp_path, argv, capsys):
     (EVOLVE_CA, {"fitness": {"epochs": -1}}, "epochs"),
     (EVOLVE_PATTERN, {"weight_std": -1.0}, "weight_std"),
     (EVOLVE_PATTERN, {"act_prob": 2.0}, "act_prob"),
+    (EVOLVE_PATTERN, {"lambda_homeo": math.nan}, "lambda_homeo"),
+    (EVOLVE_PATTERN, {"lambda_homeo": math.inf}, "lambda_homeo"),
+    (EVOLVE_PATTERN, {"survival_threshold": math.nan}, "survival_threshold"),
+    (EVOLVE_PATTERN, {"survival_threshold": -math.inf}, "survival_threshold"),
 ], ids=["patch_side-above-grid", "patch_side-negative", "epochs", "weight_std",
-        "act_prob"])
+        "act_prob", "lambda_homeo-nan", "lambda_homeo-inf",
+        "survival_threshold-nan", "survival_threshold-inf"])
 def test_config_only_field_out_of_range_is_usage_error(tmp_path, argv, config,
                                                        field, capsys):
     cfg = tmp_path / "cfg.json"

@@ -214,7 +214,7 @@ class TestEvaluate:
         cfg = PatternEvoConfig(grid_side=32, tile_side=12, steps=16, stride=4)
         fast = evaluate_tiles(tiles, SMALL_RULE, cfg)
         plain = evaluate_tiles(
-            tiles, SMALL_RULE, cfg, step_fn=lambda s: step_rule(s, SMALL_RULE, "auto")
+            tiles, SMALL_RULE, cfg, step_fn=lambda s: step_rule(s, SMALL_RULE, "fft")
         )
         assert fast == plain
 

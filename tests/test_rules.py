@@ -304,7 +304,7 @@ def textbook_growth(bump, n):
         return 2.0 * np.exp(-0.5 * z * z) - 1.0
 
 
-def plain_step(state, rule, backend="auto"):
+def plain_step(state, rule, backend="fft"):
     """The update evaluated on whole arrays, one temporary per operation."""
     state = np.asarray(state, dtype=np.float64)
     n = convolve(state, build_kernel(rule.kernel), backend)
