@@ -131,6 +131,18 @@ def _setup(args, check=None):
     return cfg, out
 
 
+class _FrameWriter:
+    """A `run` frame consumer: writes each frame through write_frames as it
+    arrives, as frame_000000.pgm, frame_000001.pgm, ... in `directory`."""
+
+    def __init__(self, directory: Path):
+        self.directory, self.count = directory, 0
+
+    def __call__(self, grid):
+        write_frames([grid], self.directory, start=self.count)
+        self.count += 1
+
+
 def _cmd_presets(args) -> int:
     for name in preset_names():
         print(name)
@@ -146,9 +158,10 @@ def _cmd_simulate(args) -> int:
     else:
         state = rng.random((cfg.side, cfg.side))
 
-    res = run(state, rule, cfg.steps, every=cfg.frames_every)
-    if cfg.frames_every > 0 and cfg.steps > 0:
-        write_frames(res.frames, out / "frames")
+    # A zero-step run writes no frames/ directory.
+    every = cfg.frames_every if cfg.steps else 0
+    res = run(state, rule, cfg.steps, every=every,
+              on_frame=_FrameWriter(out / "frames"))
 
     summary = {
         "rule": rule.name,
@@ -230,9 +243,9 @@ def _cmd_render(args) -> int:
             label = "demo"
         check_kernel_fits(rule.kernel.radius, args.grid_side)
         state = place_centered(args.grid_side, tile)
-    res = run(state, rule, args.steps, every=args.every)
-    paths = write_frames(res.frames, Path(args.out) / "frames")
-    print(f"{label}: {len(paths)} frames -> {paths[0].parent}")
+    writer = _FrameWriter(Path(args.out) / "frames")
+    run(state, rule, args.steps, every=args.every, on_frame=writer)
+    print(f"{label}: {writer.count} frames -> {writer.directory}")
     return 0
 
 

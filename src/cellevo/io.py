@@ -148,12 +148,14 @@ def grid_to_pgm(grid: np.ndarray) -> bytes:
     return header + body
 
 
-def write_frames(grids: Sequence[np.ndarray], directory: str | Path) -> list[Path]:
-    """Write grids as frame_000000.pgm, frame_000001.pgm, ... in directory."""
+def write_frames(grids: Sequence[np.ndarray], directory: str | Path,
+                 start: int = 0) -> list[Path]:
+    """Write grids as frame_000000.pgm, frame_000001.pgm, ... in directory,
+    numbering the first grid `start`."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = []
-    for i, grid in enumerate(grids):
+    for i, grid in enumerate(grids, start):
         path = directory / f"frame_{i:06d}.pgm"
         path.write_bytes(grid_to_pgm(grid))
         paths.append(path)

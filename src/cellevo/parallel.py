@@ -9,7 +9,6 @@ not depend on how many workers there are.
 from __future__ import annotations
 
 import ctypes
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 
 # (set, get) thread-count functions of the OpenBLAS that numpy wheels
@@ -80,6 +79,9 @@ def worker_pool(workers: int):
         if workers == 1:
             yield map
             return
+        # Imported here: it pulls in multiprocessing, subprocess and logging,
+        # which a one-worker run never uses.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_use_one_blas_thread
         ) as pool:

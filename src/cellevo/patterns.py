@@ -193,21 +193,23 @@ def evaluate_tiles(
     """
     tiles = [np.asarray(t, dtype=np.float64) for t in tiles]
     side = cfg.grid_side
-    states = np.stack([place_centered(side, t) for t in tiles])
-    n = states.shape[0]
+    # The loop below rebinds `work`, so `trajectory` alone holds the
+    # initial batch and drops it after the first update.
+    work = np.stack([place_centered(side, t) for t in tiles])
+    n = work.shape[0]
 
     checkpoints = set(range(cfg.stride, cfg.steps + 1, cfg.stride))
     checkpoints.add(cfg.steps)
 
-    mean0 = states.mean(axis=(1, 2))
-    com_prev = _com_batch(states)
+    mean0 = work.mean(axis=(1, 2))
+    com_prev = _com_batch(work)
     net = np.zeros((n, 2))
     survived = np.ones(n, dtype=bool)
     final_mean = np.zeros(n)
 
     retire = step_fn is None and rule.zero_is_absorbing()
     advance = step_fn if step_fn is not None else (lambda s: step(s, rule))
-    for t, active, work in trajectory(states, advance, cfg.steps, retire):
+    for t, active, work in trajectory(work, advance, cfg.steps, retire):
         if t not in checkpoints:
             continue
         # A retired slice reads as an empty grid: CoM at the center, max 0.

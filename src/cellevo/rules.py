@@ -245,35 +245,43 @@ class RunResult(NamedTuple):
     final: np.ndarray
     means: np.ndarray  # mean cell value after each step, shape (steps, ...)
     maxes: np.ndarray  # max cell value after each step
-    frames: list  # states at step 0, every `every` steps and the last step
 
 
 def run(state: np.ndarray, rule: RuleParams, steps: int, backend: str = "fft",
-        every: int = 0) -> RunResult:
+        every: int = 0, on_frame=None) -> RunResult:
     """Iterate `step` and record per-step mean/max summaries.
 
-    With every > 0 it also keeps frames, uncopied, at step 0, every `every`
-    steps and the last step. Slices that reach exactly 0 under an absorbing
-    rule stop being simulated; their summaries, frames and final state read
-    0, as one shared zero array once every slice is retired.
+    With every > 0 it also hands each frame, uncopied, to `on_frame` as it
+    is produced: step 0, every `every` steps and the last step. It keeps
+    no frame, so memory does not grow with `steps`. Slices that reach
+    exactly 0 under an absorbing rule stop being simulated; their
+    summaries, frames and final state read 0, as one shared zero array
+    once every slice is retired.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
+    if every and on_frame is None:
+        raise ValueError("frames every > 0 steps need an on_frame consumer")
     state = np.asarray(state, dtype=np.float64)
     lead = state.shape[:-2]
     batch = state.reshape(-1, *state.shape[-2:])
     means = np.zeros((steps, batch.shape[0]))
     maxes = np.zeros((steps, batch.shape[0]))
-    dead = np.zeros_like(batch)
+    dead = None  # allocated when every slice has retired
 
     def whole(active, work):
+        nonlocal dead
         if active.size == len(batch):
             return work.reshape(state.shape)
-        out = dead if not active.size else np.zeros_like(batch)
+        if not active.size:
+            dead = np.zeros_like(batch) if dead is None else dead
+            return dead.reshape(state.shape)
+        out = np.zeros_like(batch)
         out[active] = work
         return out.reshape(state.shape)
 
-    frames = [state] if every else []
+    if every:
+        on_frame(state)
     active, work = np.arange(batch.shape[0]), batch
     for t, active, work in trajectory(
         batch, lambda s: step(s, rule, backend), steps, rule.zero_is_absorbing()
@@ -281,12 +289,11 @@ def run(state: np.ndarray, rule: RuleParams, steps: int, backend: str = "fft",
         means[t - 1, active] = work.mean(axis=(-2, -1))
         maxes[t - 1, active] = work.max(axis=(-2, -1))
         if every and (t % every == 0 or t == steps):
-            frames.append(whole(active, work))
+            on_frame(whole(active, work))
     return RunResult(
         whole(active, work) if steps else state.copy(),
         means.reshape(steps, *lead),
         maxes.reshape(steps, *lead),
-        frames,
     )
 
 

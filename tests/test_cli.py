@@ -13,8 +13,10 @@ from cellevo.config import (
     PatternEvoConfig,
     SimulateConfig,
 )
-from cellevo.io import load_pattern, save_pattern
-from cellevo.rules import load_preset, preset_names, rule_to_dict
+from cellevo.grid import place_centered, substream
+from cellevo.io import grid_to_pgm, load_pattern, save_pattern
+from cellevo.patterns import random_genome, synthesize
+from cellevo.rules import load_preset, preset_names, rule_to_dict, step
 
 # Small-but-real invocations; grids must fit the default radius-18 kernel.
 EVOLVE_CA = ["evolve-ca", "--mode", "simple", "--generations", "2",
@@ -315,6 +317,54 @@ def _capture_config(monkeypatch, cls):
 
     monkeypatch.setattr(cls, "from_dict", classmethod(from_dict))
     return built
+
+
+def step_loop_frames(state, rule, steps, every):
+    """PGM bytes of a plain `step` loop at steps 0, k, 2k, ... and the last."""
+    frames = [grid_to_pgm(state)]
+    for t in range(1, steps + 1):
+        state = step(state, rule)
+        if t % every == 0 or t == steps:
+            frames.append(grid_to_pgm(state))
+    return frames
+
+
+def frame_bytes(directory):
+    paths = sorted(directory.iterdir())
+    assert [p.name for p in paths] == [f"frame_{i:06d}.pgm"
+                                       for i in range(len(paths))]
+    return [p.read_bytes() for p in paths]
+
+
+class TestStreamedFrames:
+    """Frames written as they are produced equal those of a plain step loop."""
+
+    @pytest.mark.parametrize("steps, every", [(7, 3), (6, 2), (1, 4)])
+    def test_simulate(self, tmp_path, steps, every, capsys):
+        argv = ["simulate", "--side", "64", "--init", "uniform", "--seed", "5",
+                "--steps", str(steps), "--frames-every", str(every),
+                "--out", str(tmp_path)]
+        assert main(argv) == 0
+        state = substream(5, 0).random((64, 64))
+        assert frame_bytes(tmp_path / "frames") == step_loop_frames(
+            state, load_preset("Orbium"), steps, every)
+
+    def test_simulate_zero_steps_writes_no_frames(self, tmp_path, capsys):
+        argv = ["simulate", "--side", "64", "--steps", "0", "--frames-every",
+                "2", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert not (tmp_path / "frames").exists()
+
+    @pytest.mark.parametrize("steps, every", [(7, 3), (0, 4)])
+    def test_render_demo(self, tmp_path, steps, every, capsys):
+        argv = ["render", "--grid-side", "64", "--seed", "3", "--steps",
+                str(steps), "--every", str(every), "--out", str(tmp_path)]
+        assert main(argv) == 0
+        rule = load_preset("Orbium")
+        tile = synthesize(random_genome(substream(3, 0)), 4 * rule.kernel.radius)
+        frames = step_loop_frames(place_centered(64, tile), rule, steps, every)
+        assert frame_bytes(tmp_path / "frames") == frames
+        assert f"{len(frames)} frames" in capsys.readouterr().out
 
 
 class TestConfigFlags:

@@ -1,5 +1,9 @@
 """BLAS threading of worker_pool: one OpenBLAS thread in every process."""
 import ctypes
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np  # noqa: F401  (loads OpenBLAS into this process)
 import pytest
@@ -71,3 +75,15 @@ def test_restores_after_an_exception(two_blas_threads):
         with worker_pool(1):
             raise RuntimeError("stop")
     assert blas_threads() == two_blas_threads
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = ("import sys, cellevo.cli; "
+            "print('concurrent.futures.process' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

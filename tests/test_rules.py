@@ -1,6 +1,7 @@
 """Growth bumps, ring kernels, update steps, presets, serialization."""
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -406,6 +407,13 @@ class TestBlockedStep:
             assert not np.shares_memory(out, state)
 
 
+def run_frames(*args, **kwargs):
+    """The frames `run` hands to its `on_frame` consumer, in order."""
+    frames = []
+    run(*args, on_frame=frames.append, **kwargs)
+    return frames
+
+
 class TestRun:
     def test_records_per_step_summaries(self):
         state = np.full((30, 30), 0.45)
@@ -455,37 +463,58 @@ class TestRun:
         assert np.array_equal(res.final, state)
         assert res.maxes[-1, 0] == 0.0 and res.maxes[-1, 2] > 0.0
 
+    def test_memory_does_not_grow_with_steps(self):
+        # A frozen rule keeps every frame alive, so none is the shared zero array.
+        state = np.random.default_rng(4).random((64, 64))
+        rule = lenia_rule(0.15, 0.015, dt=0.0)
+
+        def peak(steps):
+            tracemalloc.start()
+            try:
+                run(state, rule, steps, every=1, on_frame=lambda frame: None)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(16)  # fill the kernel and FFT caches
+        assert abs(peak(128) - peak(16)) <= state.nbytes
+
+    def test_frames_need_a_consumer(self):
+        with pytest.raises(ValueError, match="on_frame"):
+            run(np.zeros((16, 16)), load_preset("Orbium"), 2, every=1)
+
     def test_frames_at_zero_every_k_and_last_step(self):
         state = np.random.default_rng(3).random((40, 40))
         rule = load_preset("s11")
-        res = run(state, rule, 7, backend="direct", every=3)
+        frames = run_frames(state, rule, 7, backend="direct", every=3)
         states = [state]
         for _ in range(7):
             states.append(step(states[-1], rule, backend="direct"))
-        assert len(res.frames) == 4
-        for frame, t in zip(res.frames, (0, 3, 6, 7)):
+        assert len(frames) == 4
+        for frame, t in zip(frames, (0, 3, 6, 7)):
             assert np.array_equal(frame, states[t])
-        assert run(state, rule, 7, backend="direct").frames == []
+        assert run_frames(state, rule, 7, backend="direct") == []
 
     def test_retired_frames_read_zero_from_one_array(self):
-        res = run(np.full((30, 30), 0.45), always_decay_rule(dt=0.1), 9, every=2)
-        assert len(res.frames) == 6
-        dead = res.frames[3:]  # the grid is exactly 0 from step 5 on
+        frames = run_frames(np.full((30, 30), 0.45), always_decay_rule(dt=0.1),
+                            9, every=2)
+        assert len(frames) == 6
+        dead = frames[3:]  # the grid is exactly 0 from step 5 on
         assert all(np.all(f == 0.0) for f in dead)
         assert all(np.shares_memory(dead[0], f) for f in dead[1:])
-        assert np.all(res.frames[2] > 0.0)
+        assert np.all(frames[2] > 0.0)
 
     def test_partly_retired_batch_frames_match_plain_loop(self):
         rng = np.random.default_rng(15)
         batch = np.stack([centered_patch_state(32, 8, rng), np.ones((32, 32))])
         rule = lenia_rule(1.0, 0.1)
-        res = run(batch, rule, 20, every=5)
+        frames = run_frames(batch, rule, 20, every=5)
         state = batch
         for t in range(1, 21):
             state = step(state, rule)
             if t % 5 == 0:
-                assert np.array_equal(res.frames[t // 5], state)
-        assert res.frames[-1][0].max() == 0.0
+                assert np.array_equal(frames[t // 5], state)
+        assert frames[-1][0].max() == 0.0
 
 
 class TestTrajectory:
