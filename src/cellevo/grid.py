@@ -147,6 +147,12 @@ def centered_patch_state(
     return state
 
 
+def seeded_patches(count: int, side: int, patch_side: int, seed) -> np.ndarray:
+    """Grids (count, side, side); grid i is a centered patch from stream (seed, i)."""
+    rngs = (substream(seed, i) for i in range(count))
+    return np.stack([centered_patch_state(side, patch_side, rng) for rng in rngs])
+
+
 def place_centered(side: int, tile: np.ndarray) -> np.ndarray:
     """Embed a (h, w) tile at the center of a zeroed side x side grid."""
     tile = np.asarray(tile, dtype=np.float64)

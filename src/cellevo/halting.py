@@ -21,7 +21,7 @@ import numpy as np
 from . import predictor as pred
 from .cmaes import CmaEs, default_popsize
 from .config import EvolveCaConfig, HaltingFitnessConfig
-from .grid import centered_patch_state, check_kernel_fits, seed_path, substream
+from .grid import check_kernel_fits, seed_path, seeded_patches, substream
 from .parallel import parallel_map, run_search
 from .rules import GLABERISH, GrowthBump, KernelSpec, RuleParams, evolve_batch
 
@@ -67,12 +67,7 @@ def generate_dataset(
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     patch = patch_side if patch_side else grid_side // 2
-    grids = np.stack(
-        [
-            centered_patch_state(grid_side, patch, substream(seed, i))
-            for i in range(count)
-        ]
-    )
+    grids = seeded_patches(count, grid_side, patch, seed)
     finals = evolve_batch(grids, rule, horizon)
     labels = finals.reshape(count, -1).max(axis=1) > HALT_THRESHOLD
     return HaltingDataset(grids, labels, horizon, rule)
@@ -111,6 +106,14 @@ def prediction_difficulty(accuracies) -> float:
 def predictor_fitness_from_dataset(
     ds: HaltingDataset, cfg: HaltingFitnessConfig
 ) -> float:
+    """Negated mean validation accuracy of cfg.n_predictors trained CNNs.
+
+    A single-class dataset scores -1, the constant predictor's score,
+    without training. Trained CNNs reach it too at the default config,
+    but not untrained ones (0 epochs).
+    """
+    if ds.labels.min() == ds.labels.max():
+        return -1.0
     accs = [
         pred.train(
             ds.grids,

@@ -12,12 +12,12 @@ consecutive windows of L steps. Per window:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .config import MetricsConfig
-from .grid import centered_patch_state, substream
+from .grid import seeded_patches
 from .halting import HALT_THRESHOLD
 from .rules import RuleParams, step, trajectory
 
@@ -63,16 +63,9 @@ class MetricsReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "rule_name": self.rule_name,
-            "fertility": list(self.fertility),
-            "mortality": list(self.mortality),
-            "n_grids": self.n_grids,
-            "grid_side": self.grid_side,
-            "window": self.window,
-            "patch_side": self.patch_side,
-            "seed": self.seed,
-        }
+        """The fields in order, each (window 1, window 2) pair as a list."""
+        pairs = asdict(self).items()
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in pairs}
 
     def csv_row(self) -> str:
         f1, f2 = self.fertility
@@ -95,12 +88,7 @@ def compute_metrics(rule: RuleParams, cfg: MetricsConfig, seed: int) -> MetricsR
     """
     n = cfg.n_grids
     side = cfg.grid_side
-    work = np.stack(
-        [
-            centered_patch_state(side, cfg.patch_side, substream(seed, i))
-            for i in range(n)
-        ]
-    )
+    work = seeded_patches(n, side, cfg.patch_side, seed)
 
     fertility = []
     mortality = []

@@ -198,9 +198,6 @@ def evaluate_tiles(
     work = np.stack([place_centered(side, t) for t in tiles])
     n = work.shape[0]
 
-    checkpoints = set(range(cfg.stride, cfg.steps + 1, cfg.stride))
-    checkpoints.add(cfg.steps)
-
     mean0 = work.mean(axis=(1, 2))
     com_prev = _com_batch(work)
     net = np.zeros((n, 2))
@@ -210,7 +207,7 @@ def evaluate_tiles(
     retire = step_fn is None and rule.zero_is_absorbing()
     advance = step_fn if step_fn is not None else (lambda s: step(s, rule))
     for t, active, work in trajectory(work, advance, cfg.steps, retire):
-        if t not in checkpoints:
+        if t % cfg.stride and t != cfg.steps:
             continue
         # A retired slice reads as an empty grid: CoM at the center, max 0.
         com = np.full((n, 2), side / 2.0)

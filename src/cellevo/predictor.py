@@ -189,11 +189,8 @@ def loss_and_grads(w: PredictorWeights, grids, labels):
     gz1 *= (gpooled / 4.0)[:, :, None, :, None, :]
     g_conv1_w, g_conv1_b = _conv_param_grads(cache["cols1"], w.conv1_w, gz1)
 
-    grads = PredictorWeights(
-        g_conv1_w, g_conv1_b, g_conv2_w, g_conv2_b, g_dense_w,
-        np.asarray(g_dense_b),
-    )
-    return loss, grads.pack()
+    grads = (g_conv1_w, g_conv1_b, g_conv2_w, g_conv2_b, g_dense_w, g_dense_b)
+    return loss, np.concatenate([np.ravel(g) for g in grads])
 
 
 def accuracy(predictions, labels) -> float:
@@ -231,7 +228,8 @@ def train(
 
     Everything random (split, init, batch order) comes from one stream
     seeded by `seed`, so results are reproducible. The training examples'
-    conv1 windows are copied once, and each batch gathers its rows.
+    conv1 windows are copied once, and each batch gathers its rows. The
+    parameters live in one flat vector that each SGD step updates in place.
     """
     x = block_mean(grids, INPUT_SIDE)
     y = np.asarray(labels, dtype=np.float64)
@@ -247,18 +245,19 @@ def train(
     train_idx, val_idx = perm[:n_train], perm[n_train:]
     single_class = len(np.unique(y[train_idx])) < 2
 
-    flat = init_weights(rng).pack()
+    flat = rng.normal(0.0, 0.1, PARAM_COUNT)  # init_weights(rng).pack()
+    w = PredictorWeights.unpack(flat)  # views: the in-place steps move w too
     velocity = np.zeros_like(flat)
     cols, y_train = _im2col(x[train_idx][..., None]), y[train_idx]
     for _ in range(epochs):
         order = rng.permutation(n_train)
         for lo in range(0, n_train, batch_size):
             batch = order[lo : lo + batch_size]
-            w = PredictorWeights.unpack(flat)
             _, g = loss_and_grads(w, cols[batch], y_train[batch])
-            velocity = momentum * velocity - lr * g
-            flat = flat + velocity
+            velocity *= momentum
+            velocity -= lr * g
+            flat += velocity
 
-    weights = PredictorWeights.unpack(flat)
+    weights = PredictorWeights.unpack(flat)  # fails loudly if training diverged
     val_acc = accuracy(predict_batch(weights, x[val_idx]), y[val_idx] > 0.5)
     return TrainResult(weights, val_acc, single_class, n_train, m - n_train)

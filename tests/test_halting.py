@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cellevo import predictor
 from cellevo.cmaes import CmaEs
 from cellevo.config import EvolveCaConfig, HaltingFitnessConfig
+from cellevo.grid import seed_path
 from cellevo.halting import (
     HALT_THRESHOLD,
     HaltingDataset,
@@ -17,6 +19,7 @@ from cellevo.halting import (
     genome_to_rule,
     prediction_difficulty,
     predictor_fitness,
+    predictor_fitness_from_dataset,
     simple_fitness,
     squash_genome,
     unsquash_genome,
@@ -121,6 +124,25 @@ class TestPredictorFitness:
         )
         f = predictor_fitness(ALWAYS_DECAY, cfg)
         assert f <= -0.9
+
+    @pytest.mark.parametrize("rule", [ALWAYS_DECAY, ALWAYS_GROW],
+                             ids=["all_dead", "all_alive"])
+    def test_single_class_scores_as_trained_without_training(self, rule,
+                                                            monkeypatch):
+        cfg = HaltingFitnessConfig(horizon=16)  # default size, epochs, split
+        ds = generate_dataset(rule, cfg.n_grids, cfg.grid_side, cfg.horizon, 0)
+        assert len(np.unique(ds.labels)) == 1
+        trained = prediction_difficulty([
+            predictor.train(ds.grids, ds.labels, epochs=cfg.epochs, split=cfg.split,
+                            seed=seed_path(cfg.seed, 1 + n)).val_accuracy
+            for n in range(cfg.n_predictors)
+        ])
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a single-class dataset was trained on")
+
+        monkeypatch.setattr(predictor, "train", no_training)
+        assert predictor_fitness_from_dataset(ds, cfg) == trained == -1.0
 
     def test_bounds(self):
         f = predictor_fitness(lenia(0.3, 0.05), FAST_FITNESS)

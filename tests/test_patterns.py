@@ -192,6 +192,14 @@ class TestEvaluate:
         fit = evaluate_tile(tile, SMALL_RULE, cfg, step_fn=shift)
         assert fit.motility == pytest.approx(128.0, abs=1e-6)
 
+    def test_off_stride_last_step_is_a_checkpoint(self):
+        # Checkpoints at steps 4, 8 and 10: the last two shifts count too.
+        tile = np.full((10, 10), 0.7)
+        cfg = PatternEvoConfig(grid_side=64, tile_side=10, steps=10, stride=4)
+        shift = lambda s: np.roll(s, 1, axis=-1)
+        fit = evaluate_tile(tile, SMALL_RULE, cfg, step_fn=shift)
+        assert fit.motility == pytest.approx(10.0, abs=1e-6)
+
     def test_batch_matches_single_bitwise(self):
         rng = np.random.default_rng(8)
         tiles = [
