@@ -2,20 +2,16 @@
 
 States are float64 arrays of shape (..., H, W); leading axes batch
 independent grids through every operation here. Convolution wraps at the
-edges (torus) and is available as an exact shift-and-add sum or as an
-FFT product, which must agree to tight tolerance. The FFT path is the
-library's: numpy's rfft2 and irfft2 split into their 1-D transforms
-(rows, columns, spectrum product, columns, rows), so the column passes
-work in place on one complex buffer. The shift-and-add sum is the slow
-reference.
+edges (torus) and is an FFT product: numpy's rfft2 and irfft2 split into
+their 1-D transforms (rows, columns, spectrum product, columns, rows), so
+the column passes work in place on one complex buffer. The tests check
+it against an exact shift-and-add sum.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-BACKENDS = ("fft", "direct")
 
 
 def radial_distances(radius: int) -> np.ndarray:
@@ -83,38 +79,23 @@ def check_kernel_fits(radius: int, grid_side: int) -> None:
         )
 
 
-def convolve(state: np.ndarray, kernel: Kernel, backend: str = "fft") -> np.ndarray:
-    """Neighborhood sums n = K * A with toroidal wrap.
+def convolve(state: np.ndarray, kernel: Kernel) -> np.ndarray:
+    """Neighborhood sums n = K * A with toroidal wrap, by FFT.
 
     n[i, j] = sum_{u,v} K[u, v] * A[(i + u - R) mod H, (j + v - R) mod W].
-    Batched over leading axes. Every run of the program uses "fft". The
-    shift-and-add sum, backend="direct", is the reference that tests
-    compare it with; `step`, `run` and `evolve_batch` pass it through.
+    Batched over leading axes.
     """
     state = np.asarray(state, dtype=np.float64)
     if state.ndim < 2:
         raise ValueError("state must have at least 2 dimensions")
     check_kernel_fits(kernel.radius, min(state.shape[-2:]))
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-    if backend == "fft":
-        # The 1-D transforms numpy's rfft2/irfft2 run, in their order, so
-        # the bits are theirs; only the buffers differ (`out=` needs numpy 2).
-        spec = np.fft.rfft(state, axis=-1)
-        np.fft.fft(spec, axis=-2, out=spec)
-        np.multiply(spec, kernel.spectrum(state.shape[-2:]), out=spec)
-        np.fft.ifft(spec, axis=-2, out=spec)
-        return np.fft.irfft(spec, n=state.shape[-1], axis=-1)
-    # Shift-and-add reference path: exact modular indexing via np.roll.
-    out = np.zeros_like(state)
-    r = kernel.radius
-    for u in range(kernel.side):
-        for v in range(kernel.side):
-            wgt = kernel.weights[u, v]
-            if wgt == 0.0:
-                continue
-            out += wgt * np.roll(state, (-(u - r), -(v - r)), axis=(-2, -1))
-    return out
+    # The 1-D transforms numpy's rfft2/irfft2 run, in their order, so the
+    # bits are theirs; only the buffers differ (`out=` needs numpy 2).
+    spec = np.fft.rfft(state, axis=-1)
+    np.fft.fft(spec, axis=-2, out=spec)
+    np.multiply(spec, kernel.spectrum(state.shape[-2:]), out=spec)
+    np.fft.ifft(spec, axis=-2, out=spec)
+    return np.fft.irfft(spec, n=state.shape[-1], axis=-1)
 
 
 def block_mean(state: np.ndarray, out_side: int) -> np.ndarray:

@@ -22,7 +22,7 @@ from . import predictor as pred
 from .cmaes import CmaEs, default_popsize
 from .config import EvolveCaConfig, HaltingFitnessConfig
 from .grid import check_kernel_fits, seed_path, seeded_patches, substream
-from .parallel import parallel_map, run_search
+from .parallel import run_search
 from .rules import GLABERISH, GrowthBump, KernelSpec, RuleParams, evolve_batch
 
 HALT_THRESHOLD = 1e-6
@@ -281,7 +281,7 @@ def evolve_rules(
     def evaluate(gen, cands, pool_map):
         jobs = [(cands[i], mode, cfg, seed_path(seed, gen, i), fitness_fn)
                 for i in range(lam)]
-        fits = np.array(parallel_map(_evaluate, jobs, pool_map))
+        fits = np.array(list(pool_map(_evaluate, jobs)))
         nonfinite = ~np.isfinite(fits)
         fits[nonfinite] = -1.0
         n_nonfinite.append(int(nonfinite.sum()))

@@ -42,15 +42,6 @@ def _outside_max(states: np.ndarray, box_side: int) -> np.ndarray:
     return out
 
 
-def escaped(grid: np.ndarray, box_side: int) -> bool:
-    """True if any cell strictly outside the centered box exceeds 0.01."""
-    grid = np.asarray(grid, dtype=np.float64)
-    h, w = grid.shape[-2:]
-    if not 0 < box_side < min(h, w):
-        raise ValueError("escape box must be strictly inside the grid")
-    return bool(_outside_max(grid[None], box_side)[0] > ESCAPE_THRESHOLD)
-
-
 @dataclass(frozen=True)
 class MetricsReport:
     rule_name: str

@@ -88,11 +88,6 @@ def worker_pool(workers: int):
             yield pool.map
 
 
-def parallel_map(fn, items, pool_map) -> list:
-    """Apply fn to every item with a map yielded by worker_pool, in order."""
-    return list(pool_map(fn, items))
-
-
 def run_search(strategy, generations: int, evaluate, record, workers: int):
     """Run ask -> evaluate(g, candidates, pool_map) -> tell -> record for
     generations g = 1, 2, ... on one pool; return the history, whose entry g

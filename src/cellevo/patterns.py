@@ -10,13 +10,12 @@ dying out. Selection is plain truncation with mutation-only refill.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .config import PatternEvoConfig
 from .grid import check_kernel_fits, place_centered, substream
-from .parallel import parallel_map, run_search
+from .parallel import run_search
 from .predictor import sigmoid
 from .rules import RuleParams, step, trajectory
 
@@ -155,15 +154,6 @@ def _com_batch(states: np.ndarray) -> np.ndarray:
     return np.stack([rows, cols], axis=1)
 
 
-def center_of_mass(grid: np.ndarray) -> tuple[float, float]:
-    """Centroid on the torus; returns the grid center for (near-)empty grids."""
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.ndim != 2:
-        raise ValueError("center_of_mass expects a single 2-D grid")
-    row, col = _com_batch(grid[None])[0]
-    return float(row), float(col)
-
-
 def _wrap_delta(delta: np.ndarray, side: int) -> np.ndarray:
     """Reduce displacements into [-side/2, side/2) (shortest way around)."""
     return (delta + side / 2.0) % side - side / 2.0
@@ -180,16 +170,13 @@ class PatternFitness:
 
 
 def evaluate_tiles(
-    tiles,
-    rule: RuleParams,
-    cfg: PatternEvoConfig,
-    step_fn: Callable | None = None,
+    tiles, rule: RuleParams, cfg: PatternEvoConfig
 ) -> list[PatternFitness]:
     """Score a batch of tiles under one rule; results are per-tile independent.
 
-    Slices that reach the exact all-zero state are retired instead of being
-    simulated further and read as an empty grid at every later checkpoint;
-    bitwise identical to the plain loop (`step_fn`) when zero is absorbing.
+    When zero is absorbing, slices that reach the exact all-zero state are
+    retired instead of being simulated further and read as an empty grid
+    at every later checkpoint; bitwise identical to stepping them on.
     """
     tiles = [np.asarray(t, dtype=np.float64) for t in tiles]
     side = cfg.grid_side
@@ -204,9 +191,9 @@ def evaluate_tiles(
     survived = np.ones(n, dtype=bool)
     final_mean = np.zeros(n)
 
-    retire = step_fn is None and rule.zero_is_absorbing()
-    advance = step_fn if step_fn is not None else (lambda s: step(s, rule))
-    for t, active, work in trajectory(work, advance, cfg.steps, retire):
+    for t, active, work in trajectory(
+        work, lambda s: step(s, rule), cfg.steps, rule.zero_is_absorbing()
+    ):
         if t % cfg.stride and t != cfg.steps:
             continue
         # A retired slice reads as an empty grid: CoM at the center, max 0.
@@ -234,10 +221,6 @@ def evaluate_tiles(
             )
         )
     return results
-
-
-def evaluate_tile(tile, rule, cfg, step_fn=None) -> PatternFitness:
-    return evaluate_tiles([tile], rule, cfg, step_fn)[0]
 
 
 # --- evolution ---------------------------------------------------------------
@@ -324,8 +307,7 @@ def evolve_patterns(
         tiles = [synthesize(g, tile_side) for g in genomes]
         chunks = np.array_split(np.arange(len(tiles)), min(workers, len(tiles)))
         jobs = [([tiles[i] for i in chunk], rule, cfg) for chunk in chunks]
-        parts = parallel_map(_eval_chunk, jobs, pool_map)
-        return [fit for part in parts for fit in part]
+        return [fit for part in pool_map(_eval_chunk, jobs) for fit in part]
 
     def record(genomes, fitnesses):
         totals = np.array([f.total for f in ga.fitnesses])

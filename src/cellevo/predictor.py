@@ -136,17 +136,13 @@ def _forward(w: PredictorWeights, cols1: np.ndarray) -> dict:
     }
 
 
-def predict(w: PredictorWeights, grid: np.ndarray) -> float:
-    """Probability that a single grid is "active"; pools to 32x32 if needed."""
-    return float(predict_batch(w, np.asarray(grid)[None])[0])
-
-
 def sigmoid(z):
     """Logistic 1 / (1 + e^-z) as exp(-softplus(-z)): overflow-free on both tails."""
     return np.exp(-np.logaddexp(0.0, -z))
 
 
 def predict_batch(w: PredictorWeights, grids: np.ndarray) -> np.ndarray:
+    """Probability that each grid is "active"; grids pool to 32x32 if needed."""
     x = block_mean(grids, INPUT_SIDE)
     return sigmoid(_forward(w, _im2col(x[..., None]))["logit"])
 

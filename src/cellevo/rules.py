@@ -186,7 +186,7 @@ class RuleParams:
 BLOCK_CELLS = 1 << 14
 
 
-def step(state: np.ndarray, rule: RuleParams, backend: str = "fft") -> np.ndarray:
+def step(state: np.ndarray, rule: RuleParams) -> np.ndarray:
     """One update A' = clip(A + dt * delta(A, K*A), 0, 1), batched over leading axes.
 
     The update overwrites the neighborhood sums returned by `convolve`,
@@ -196,7 +196,7 @@ def step(state: np.ndarray, rule: RuleParams, backend: str = "fft") -> np.ndarra
     to it. `state` is only read; the result never shares its memory.
     """
     state = np.asarray(state, dtype=np.float64)
-    out = np.ascontiguousarray(convolve(state, build_kernel(rule.kernel), backend))
+    out = np.ascontiguousarray(convolve(state, build_kernel(rule.kernel)))
     cells = out.reshape(-1)  # a view: writes land in `out`
     flat = state.reshape(-1)  # copies only a non-contiguous state
     size = min(BLOCK_CELLS, cells.size)
@@ -247,8 +247,8 @@ class RunResult(NamedTuple):
     maxes: np.ndarray  # max cell value after each step
 
 
-def run(state: np.ndarray, rule: RuleParams, steps: int, backend: str = "fft",
-        every: int = 0, on_frame=None) -> RunResult:
+def run(state: np.ndarray, rule: RuleParams, steps: int, every: int = 0,
+        on_frame=None) -> RunResult:
     """Iterate `step` and record per-step mean/max summaries.
 
     With every > 0 it also hands each frame, uncopied, to `on_frame` as it
@@ -284,7 +284,7 @@ def run(state: np.ndarray, rule: RuleParams, steps: int, backend: str = "fft",
         on_frame(state)
     active, work = np.arange(batch.shape[0]), batch
     for t, active, work in trajectory(
-        batch, lambda s: step(s, rule, backend), steps, rule.zero_is_absorbing()
+        batch, lambda s: step(s, rule), steps, rule.zero_is_absorbing()
     ):
         means[t - 1, active] = work.mean(axis=(-2, -1))
         maxes[t - 1, active] = work.max(axis=(-2, -1))
@@ -297,9 +297,7 @@ def run(state: np.ndarray, rule: RuleParams, steps: int, backend: str = "fft",
     )
 
 
-def evolve_batch(
-    state: np.ndarray, rule: RuleParams, steps: int, backend: str = "fft"
-) -> np.ndarray:
+def evolve_batch(state: np.ndarray, rule: RuleParams, steps: int) -> np.ndarray:
     """Advance a (N, H, W) batch `steps` updates, returning only the final states.
 
     When the all-zero state is absorbing, slices that reach exactly 0 are
@@ -310,7 +308,7 @@ def evolve_batch(
         raise ValueError("evolve_batch expects a (N, H, W) batch")
     active, work = np.arange(state.shape[0]), state
     for _, active, work in trajectory(
-        state, lambda s: step(s, rule, backend), steps, rule.zero_is_absorbing()
+        state, lambda s: step(s, rule), steps, rule.zero_is_absorbing()
     ):
         pass
     final = np.zeros_like(state)

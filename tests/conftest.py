@@ -2,11 +2,60 @@
 
 These are straight transcriptions of the defining formulas using scalar
 Python loops and math.*, independent of the vectorized library code they
-check. Slow on purpose; keep sizes small when calling them.
+check. Slow on purpose; keep sizes small when calling them. The
+shift-and-add convolution is the exception: whole-array rolls, exact to
+rounding, and fast enough for `step` to run on through the `shift_add`
+fixture.
 """
 import math
 
 import numpy as np
+import pytest
+
+import cellevo.rules
+
+
+def shift_add_convolve(state, kernel):
+    """Toroidal neighborhood sums of a `Kernel`, one np.roll per nonzero weight."""
+    state = np.asarray(state, dtype=np.float64)
+    out = np.zeros_like(state)
+    r = kernel.radius
+    for u in range(kernel.side):
+        for v in range(kernel.side):
+            wgt = kernel.weights[u, v]
+            if wgt == 0.0:
+                continue
+            out += wgt * np.roll(state, (-(u - r), -(v - r)), axis=(-2, -1))
+    return out
+
+
+@pytest.fixture
+def shift_add(monkeypatch):
+    """Make `cellevo.rules.step` convolve by shift-and-add for the rest of the test.
+
+    `step` looks `convolve` up in `cellevo.rules`, so that is the name
+    patched. The test fails at teardown if the oracle was never called, so
+    a renamed binding cannot turn an oracle comparison into FFT against FFT.
+    """
+    calls = 0
+
+    def oracle(state, kernel):
+        nonlocal calls
+        calls += 1
+        return shift_add_convolve(state, kernel)
+
+    monkeypatch.setattr(cellevo.rules, "convolve", oracle)
+    yield
+    if not calls:
+        pytest.fail("the shift-and-add oracle was never called")
+
+
+@pytest.fixture(params=["fft", "direct"])
+def convolution(request):
+    """Run the test on the library's FFT, then on the shift-and-add oracle."""
+    if request.param == "direct":
+        request.getfixturevalue("shift_add")
+    return request.param
 
 
 def loop_convolve(state, weights, radius):

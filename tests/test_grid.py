@@ -1,11 +1,10 @@
-"""Convolution engine: backend agreement, wrap handling, reductions."""
+"""Convolution engine: agreement with the oracles, wrap handling, reductions."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellevo.grid import (
-    BACKENDS,
     Kernel,
     block_mean,
     centered_patch_state,
@@ -14,7 +13,7 @@ from cellevo.grid import (
     radial_distances,
     substream,
 )
-from conftest import loop_convolve
+from conftest import loop_convolve, shift_add_convolve
 
 
 def random_kernel(rng, radius):
@@ -66,20 +65,20 @@ class TestConvolve:
         state = rng.random((12, 15))
         k = random_kernel(rng, 3)
         expected = loop_convolve(state, k.weights, k.radius)
-        assert np.abs(convolve(state, k, "direct") - expected).max() < 1e-12
-        assert np.abs(convolve(state, k, "fft") - expected).max() < 1e-9
+        assert np.abs(shift_add_convolve(state, k) - expected).max() < 1e-12
+        assert np.abs(convolve(state, k) - expected).max() < 1e-9
 
     def test_delta_kernel_is_identity(self):
         rng = np.random.default_rng(1)
         state = rng.random((16, 16))
         for radius in (0, 1, 4):
-            out = convolve(state, delta_kernel(radius), "direct")
+            out = shift_add_convolve(state, delta_kernel(radius))
             assert np.abs(out - state).max() < 1e-12
 
     def test_constant_field_is_fixed_point(self):
         # Any normalized kernel maps a constant field to itself.
         k = random_kernel(np.random.default_rng(3), 2)
-        out = convolve(np.full((9, 9), 0.4), k, "direct")
+        out = shift_add_convolve(np.full((9, 9), 0.4), k)
         assert np.abs(out - 0.4).max() < 1e-12
 
     @settings(max_examples=25, deadline=None)
@@ -93,8 +92,8 @@ class TestConvolve:
         rng = np.random.default_rng(seed)
         state = rng.random((h, w))
         k = random_kernel(rng, radius)
-        a = convolve(state, k, "fft")
-        b = convolve(state, k, "direct")
+        a = convolve(state, k)
+        b = shift_add_convolve(state, k)
         assert np.abs(a - b).max() < 1e-6
 
     @settings(max_examples=20, deadline=None)
@@ -107,9 +106,9 @@ class TestConvolve:
         rng = np.random.default_rng(seed)
         state = rng.random((14, 14))
         k = random_kernel(rng, 2)
-        for backend in ("direct", "fft"):
-            rolled = convolve(np.roll(state, (dy, dx), axis=(0, 1)), k, backend)
-            base = np.roll(convolve(state, k, backend), (dy, dx), axis=(0, 1))
+        for conv in (shift_add_convolve, convolve):
+            rolled = conv(np.roll(state, (dy, dx), axis=(0, 1)), k)
+            base = np.roll(conv(state, k), (dy, dx), axis=(0, 1))
             assert np.abs(rolled - base).max() < 1e-12
 
     def test_conserves_mass(self):
@@ -117,8 +116,8 @@ class TestConvolve:
         rng = np.random.default_rng(5)
         state = rng.random((20, 20))
         k = random_kernel(rng, 4)
-        for backend in ("direct", "fft"):
-            assert convolve(state, k, backend).sum() == pytest.approx(
+        for conv in (shift_add_convolve, convolve):
+            assert conv(state, k).sum() == pytest.approx(
                 state.sum(), abs=1e-9
             )
 
@@ -126,30 +125,15 @@ class TestConvolve:
         rng = np.random.default_rng(11)
         batch = rng.random((6, 16, 16))
         k = random_kernel(rng, 3)
-        for backend in ("direct", "fft"):
-            full = convolve(batch, k, backend)
+        for conv in (shift_add_convolve, convolve):
+            full = conv(batch, k)
             for i in range(6):
-                assert np.array_equal(full[i], convolve(batch[i], k, backend))
+                assert np.array_equal(full[i], conv(batch[i], k))
 
     def test_kernel_must_fit_grid(self):
         k = delta_kernel(5)
         with pytest.raises(ValueError, match="fit"):
             convolve(np.zeros((8, 8)), k)
-
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="backend"):
-            convolve(np.zeros((8, 8)), delta_kernel(1), "spectral")
-
-    def test_auto_alias_is_rejected(self):
-        assert BACKENDS == ("fft", "direct")
-        with pytest.raises(ValueError, match="'auto'"):
-            convolve(np.zeros((8, 8)), delta_kernel(1), "auto")
-
-    def test_default_backend_is_fft_bitwise(self):
-        rng = np.random.default_rng(48)
-        k = random_kernel(rng, 18)
-        batch = rng.random((3, 48, 48))
-        assert np.array_equal(convolve(batch, k), convolve(batch, k, "fft"))
 
     @pytest.mark.parametrize(
         "make_state",
@@ -172,7 +156,7 @@ class TestConvolve:
             shape = state.shape[-2:]
             spec = np.fft.rfft2(state, axes=(-2, -1)) * k.spectrum(shape)
             expected = np.fft.irfft2(spec, s=shape, axes=(-2, -1))
-            got = convolve(state, k, "fft")
+            got = convolve(state, k)
             assert got.shape == state.shape
             assert got.tobytes() == expected.tobytes()
 

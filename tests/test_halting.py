@@ -59,11 +59,12 @@ class TestGenerateDataset:
         assert np.array_equal(a.grids, b.grids)
         assert np.array_equal(a.labels, b.labels)
 
-    def test_labels_match_resimulation(self):
+    def test_labels_match_resimulation(self, request):
         rule = lenia(0.3, 0.05)
         ds = generate_dataset(rule, 10, 32, 12, seed=9)
+        request.getfixturevalue("shift_add")  # resimulate with the oracle
         for i in (0, 4, 9):
-            final = run(ds.grids[i], rule, 12, backend="direct").final
+            final = run(ds.grids[i], rule, 12).final
             assert ds.labels[i] == (final.max() > HALT_THRESHOLD)
 
     def test_patch_occupies_center_half(self):

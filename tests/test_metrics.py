@@ -6,9 +6,10 @@ from cellevo.config import MetricsConfig
 from cellevo.grid import centered_patch_state, substream
 from cellevo.metrics import (
     CSV_HEADER,
+    ESCAPE_THRESHOLD,
     MetricsReport,
+    _outside_max,
     compute_metrics,
-    escaped,
 )
 from cellevo.rules import GrowthBump, KernelSpec, RuleParams, load_preset, step
 
@@ -24,6 +25,11 @@ ALWAYS_GROW = lenia(0.0, 1e9)
 TINY = MetricsConfig(n_grids=8, grid_side=32, patch_side=8, box_side=16, window=16)
 
 
+def escaped(grid, box_side):
+    """True if any cell strictly outside the centered box exceeds 0.01."""
+    return bool(_outside_max(grid[None], box_side)[0] > ESCAPE_THRESHOLD)
+
+
 def reference_metrics(rule, cfg, seed):
     """Grid-at-a-time reimplementation with no batching or early exits."""
     fert = [0, 0]
@@ -33,7 +39,7 @@ def reference_metrics(rule, cfg, seed):
         for w in range(2):
             hit = False
             for _ in range(cfg.window):
-                state = step(state, rule, "direct")
+                state = step(state, rule)
                 hit = hit or escaped(state, cfg.box_side)
             fert[w] += hit
             mort[w] += state.max() <= 1e-6
@@ -70,7 +76,8 @@ class TestEscaped:
 
     def test_rejects_oversized_box(self):
         with pytest.raises(ValueError, match="inside"):
-            escaped(np.zeros((16, 16)), 16)
+            MetricsConfig(n_grids=1, grid_side=16, patch_side=4, box_side=16,
+                          window=1)
 
     def test_box_one_short_of_the_grid(self):
         # Box rows/cols [0, 15) for side 16: the strips above and to the
@@ -125,12 +132,14 @@ class TestComputeMetrics:
             rep = compute_metrics(rule, cfg, seed=1)
             assert rep.mortality[1] >= rep.mortality[0]
 
-    def test_matches_reference_implementation(self):
-        for rule in (lenia(0.3, 0.05), ALWAYS_DECAY, lenia(0.2, 0.02, dt=1.0)):
-            cfg = MetricsConfig(
-                n_grids=6, grid_side=32, patch_side=8, box_side=12, window=12
-            )
-            rep = compute_metrics(rule, cfg, seed=3)
+    def test_matches_reference_implementation(self, request):
+        rules = (lenia(0.3, 0.05), ALWAYS_DECAY, lenia(0.2, 0.02, dt=1.0))
+        cfg = MetricsConfig(
+            n_grids=6, grid_side=32, patch_side=8, box_side=12, window=12
+        )
+        reps = [compute_metrics(rule, cfg, seed=3) for rule in rules]
+        request.getfixturevalue("shift_add")  # the reference convolves exactly
+        for rule, rep in zip(rules, reps):
             fert, mort = reference_metrics(rule, cfg, seed=3)
             assert rep.fertility == fert
             assert rep.mortality == mort

@@ -2,13 +2,12 @@
 import numpy as np
 import pytest
 
+import cellevo.patterns as patterns
 from cellevo.config import PatternEvoConfig
 from cellevo.patterns import (
     ACT_NAMES,
     CppnGenome,
-    center_of_mass,
     check_tile,
-    evaluate_tile,
     evaluate_tiles,
     evolve_patterns,
     mutate,
@@ -28,6 +27,25 @@ FROZEN_RULE = RuleParams(
 FAST_CFG = PatternEvoConfig(
     grid_side=24, tile_side=12, steps=8, stride=4, population=6, generations=3
 )
+
+
+def center_of_mass(grid):
+    """Centroid of one grid, through the batched CoM the fitness uses."""
+    row, col = patterns._com_batch(np.asarray(grid)[None])[0]
+    return float(row), float(col)
+
+
+def evaluate_tile(tile, rule, cfg):
+    return evaluate_tiles([tile], rule, cfg)[0]
+
+
+@pytest.fixture
+def shift_right(monkeypatch):
+    """Make the fitness loop's `step` move a grid one cell along its rows.
+
+    A full 0.7 tile never reaches zero, so retirement cannot fire.
+    """
+    monkeypatch.setattr(patterns, "step", lambda s, rule: np.roll(s, 1, axis=-1))
 
 
 def zero_weight_genome():
@@ -174,30 +192,30 @@ class TestEvaluate:
         assert not fit.survived
         assert fit.total == -1000.0
 
+    @pytest.mark.usefixtures("shift_right")
     def test_translation_double_gives_exact_motility(self):
         tile = np.full((10, 10), 0.7)
         cfg = PatternEvoConfig(grid_side=128, tile_side=10, steps=64, stride=8)
-        shift = lambda s: np.roll(s, 1, axis=-1)
-        fit = evaluate_tile(tile, SMALL_RULE, cfg, step_fn=shift)
+        fit = evaluate_tile(tile, SMALL_RULE, cfg)
         assert fit.motility == pytest.approx(64.0, abs=1e-6)
         assert fit.survived
         assert fit.homeostasis_penalty == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.usefixtures("shift_right")
     def test_translation_across_wrap_boundary(self):
         # 128 steps on a 128-wide torus: ends where it started, but the
         # accumulated wrapped deltas measure a full lap.
         tile = np.full((10, 10), 0.7)
         cfg = PatternEvoConfig(grid_side=128, tile_side=10, steps=128, stride=8)
-        shift = lambda s: np.roll(s, 1, axis=-1)
-        fit = evaluate_tile(tile, SMALL_RULE, cfg, step_fn=shift)
+        fit = evaluate_tile(tile, SMALL_RULE, cfg)
         assert fit.motility == pytest.approx(128.0, abs=1e-6)
 
+    @pytest.mark.usefixtures("shift_right")
     def test_off_stride_last_step_is_a_checkpoint(self):
         # Checkpoints at steps 4, 8 and 10: the last two shifts count too.
         tile = np.full((10, 10), 0.7)
         cfg = PatternEvoConfig(grid_side=64, tile_side=10, steps=10, stride=4)
-        shift = lambda s: np.roll(s, 1, axis=-1)
-        fit = evaluate_tile(tile, SMALL_RULE, cfg, step_fn=shift)
+        fit = evaluate_tile(tile, SMALL_RULE, cfg)
         assert fit.motility == pytest.approx(10.0, abs=1e-6)
 
     def test_batch_matches_single_bitwise(self):
@@ -207,23 +225,23 @@ class TestEvaluate:
             np.zeros((12, 12)),
             np.full((12, 12), 0.4),
         ]
+        before = [tile.copy() for tile in tiles]
         cfg = PatternEvoConfig(grid_side=32, tile_side=12, steps=12, stride=4)
         batch = evaluate_tiles(tiles, SMALL_RULE, cfg)
         for tile, got in zip(tiles, batch):
             alone = evaluate_tile(tile, SMALL_RULE, cfg)
             assert alone == got
+        for tile, copy in zip(tiles, before):
+            assert np.array_equal(tile, copy) and tile.flags.writeable
 
-    def test_dead_drop_matches_reference_loop(self):
+    def test_dead_drop_matches_reference_loop(self, monkeypatch):
         # Straight simulation without the early-exit bookkeeping.
-        from cellevo.rules import step as step_rule
-
         rng = np.random.default_rng(9)
         tiles = [rng.random((12, 12)) for _ in range(3)]
         cfg = PatternEvoConfig(grid_side=32, tile_side=12, steps=16, stride=4)
         fast = evaluate_tiles(tiles, SMALL_RULE, cfg)
-        plain = evaluate_tiles(
-            tiles, SMALL_RULE, cfg, step_fn=lambda s: step_rule(s, SMALL_RULE, "fft")
-        )
+        monkeypatch.setattr(RuleParams, "zero_is_absorbing", lambda self: False)
+        plain = evaluate_tiles(tiles, SMALL_RULE, cfg)
         assert fast == plain
 
 

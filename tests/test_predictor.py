@@ -12,10 +12,14 @@ from cellevo.predictor import (
     accuracy,
     init_weights,
     loss_and_grads,
-    predict,
     predict_batch,
     train,
 )
+
+
+def predict(w, grid):
+    """The probability predicted for one grid."""
+    return float(predict_batch(w, grid[None])[0])
 
 
 def loop_forward(w: PredictorWeights, grid):

@@ -200,6 +200,7 @@ class TestBuildKernel:
 
 
 class TestStep:
+    @pytest.mark.usefixtures("convolution")
     def test_lenia_matches_loop_oracle(self):
         rng = np.random.default_rng(123)
         state = rng.random((32, 32))
@@ -208,9 +209,9 @@ class TestStep:
         expected = loop_lenia_step(
             state, k.weights, k.radius, rule.growth.mu, rule.growth.sigma, rule.dt
         )
-        for backend in ("direct", "fft"):
-            assert np.abs(step(state, rule, backend) - expected).max() < 1e-9
+        assert np.abs(step(state, rule) - expected).max() < 1e-9
 
+    @pytest.mark.usefixtures("convolution")
     def test_glaberish_matches_loop_oracle(self):
         rng = np.random.default_rng(321)
         state = rng.random((40, 40))
@@ -219,8 +220,7 @@ class TestStep:
         expected = loop_glaberish_step(
             state, k.weights, k.radius, (0.05, 0.01), (0.25, 0.03), rule.dt
         )
-        for backend in ("direct", "fft"):
-            assert np.abs(step(state, rule, backend) - expected).max() < 1e-9
+        assert np.abs(step(state, rule) - expected).max() < 1e-9
 
     def test_output_clipped_to_unit_interval(self):
         rng = np.random.default_rng(9)
@@ -237,15 +237,15 @@ class TestStep:
         rule = lenia_rule(0.15, 0.015, dt=0.0)
         assert np.array_equal(step(state, rule), state)
 
-    @pytest.mark.parametrize("backend", ["fft", "direct"])
-    def test_dt_zero_is_clip_on_out_of_range_strided_states(self, backend):
+    @pytest.mark.usefixtures("convolution")
+    def test_dt_zero_is_clip_on_out_of_range_strided_states(self):
         wide = np.random.default_rng(12).uniform(-0.5, 1.5, (2, 40, 60))
         rules_ = (lenia_rule(0.15, 0.015, dt=0.0),
                   glaberish_rule((0.05, 0.01), (0.25, 0.03), dt=0.0))
         for state in (wide, wide[:, :, ::2], wide[:, ::-1, 3:33]):
             expected = np.clip(state, 0.0, 1.0)
             for rule in rules_:
-                out = step(state, rule, backend)
+                out = step(state, rule)
                 assert out.shape == expected.shape
                 assert out.tobytes() == expected.tobytes()
 
@@ -282,14 +282,14 @@ class TestStep:
         expected = min(1.0, 1.0 + 0.1 * loop_growth(1.0, 0.0, 0.5))
         assert np.abs(out - expected).max() < 1e-12
 
+    @pytest.mark.usefixtures("convolution")
     def test_batched_matches_single_bitwise(self):
         rng = np.random.default_rng(77)
         batch = rng.random((5, 40, 40))
         for rule in (load_preset("Orbium"), load_preset("s7")):
-            for backend in ("direct", "fft"):
-                full = step(batch, rule, backend)
-                for i in range(5):
-                    assert np.array_equal(full[i], step(batch[i], rule, backend))
+            full = step(batch, rule)
+            for i in range(5):
+                assert np.array_equal(full[i], step(batch[i], rule))
 
     def test_zero_is_absorbing_flags(self):
         assert always_decay_rule().zero_is_absorbing()
@@ -305,10 +305,13 @@ def textbook_growth(bump, n):
         return 2.0 * np.exp(-0.5 * z * z) - 1.0
 
 
-def plain_step(state, rule, backend="fft"):
-    """The update evaluated on whole arrays, one temporary per operation."""
+def plain_step(state, rule):
+    """The update evaluated on whole arrays, one temporary per operation.
+
+    It convolves with whatever `step` would, the oracle under `shift_add`.
+    """
     state = np.asarray(state, dtype=np.float64)
-    n = convolve(state, build_kernel(rule.kernel), backend)
+    n = rules.convolve(state, build_kernel(rule.kernel))
     if rule.framework == "lenia":
         delta = growth_value(rule.growth, n)
     else:
@@ -356,15 +359,15 @@ class TestBlockedStep:
             assert got.shape == state.shape
             assert got.tobytes() == plain_step(state, rule).tobytes()
 
-    @pytest.mark.parametrize("backend", ["fft", "direct"])
+    @pytest.mark.parametrize("convolution", ["fft", "direct"], indirect=True)
     @pytest.mark.parametrize("name", ["Orbium", "s7"])
-    def test_noncontiguous_input(self, name, backend):
+    def test_noncontiguous_input(self, name, convolution):
         state = noncontiguous_batch(np.random.default_rng(12))
         assert not state.flags.c_contiguous and not state.flags.f_contiguous
         rule = load_preset(name)
-        got = step(state, rule, backend)
-        assert got.tobytes() == plain_step(state, rule, backend).tobytes()
-        assert np.array_equal(got, step(np.ascontiguousarray(state), rule, backend))
+        got = step(state, rule)
+        assert got.tobytes() == plain_step(state, rule).tobytes()
+        assert np.array_equal(got, step(np.ascontiguousarray(state), rule))
 
     def test_chained_steps_match(self):
         rule = load_preset("s613")
@@ -401,10 +404,11 @@ class TestBlockedStep:
             noncontiguous_batch(np.random.default_rng(15)),
         ):
             before = state.copy()
-            out = step(state, rule)
-            assert np.array_equal(state, before)
-            assert state.flags.writeable and out.flags.writeable
-            assert not np.shares_memory(out, state)
+            for out in (step(state, rule), run(state, rule, 0).final,
+                        run(state, rule, 3).final):
+                assert np.array_equal(state, before)
+                assert state.flags.writeable and out.flags.writeable
+                assert not np.shares_memory(out, state)
 
 
 def run_frames(*args, **kwargs):
@@ -428,13 +432,14 @@ class TestRun:
         assert np.array_equal(res.final, state)
         assert res.means.shape == (0,)
 
+    @pytest.mark.usefixtures("shift_add")
     def test_matches_repeated_step(self):
         state = np.random.default_rng(8).random((40, 40))
         rule = load_preset("s11")
-        res = run(state, rule, 4, backend="direct")
+        res = run(state, rule, 4)
         manual = state
         for _ in range(4):
-            manual = step(manual, rule, backend="direct")
+            manual = step(manual, rule)
         assert np.array_equal(res.final, manual)
 
     def test_batch_with_dying_slices_matches_plain_loop_bitwise(self, monkeypatch):
@@ -483,17 +488,18 @@ class TestRun:
         with pytest.raises(ValueError, match="on_frame"):
             run(np.zeros((16, 16)), load_preset("Orbium"), 2, every=1)
 
+    @pytest.mark.usefixtures("shift_add")
     def test_frames_at_zero_every_k_and_last_step(self):
         state = np.random.default_rng(3).random((40, 40))
         rule = load_preset("s11")
-        frames = run_frames(state, rule, 7, backend="direct", every=3)
+        frames = run_frames(state, rule, 7, every=3)
         states = [state]
         for _ in range(7):
-            states.append(step(states[-1], rule, backend="direct"))
+            states.append(step(states[-1], rule))
         assert len(frames) == 4
         for frame, t in zip(frames, (0, 3, 6, 7)):
             assert np.array_equal(frame, states[t])
-        assert run_frames(state, rule, 7, backend="direct") == []
+        assert run_frames(state, rule, 7) == []
 
     def test_retired_frames_read_zero_from_one_array(self):
         frames = run_frames(np.full((30, 30), 0.45), always_decay_rule(dt=0.1),
@@ -539,6 +545,7 @@ class TestTrajectory:
         assert seen == [[0, 1]] * 3
 
 
+@pytest.mark.usefixtures("shift_add")
 class TestEvolveBatch:
     def test_matches_plain_loop_bitwise(self):
         rng = np.random.default_rng(15)
@@ -550,14 +557,14 @@ class TestEvolveBatch:
         rule = lenia_rule(0.8, 0.02)  # most states decay, some survive
         expected = batch.copy()
         for _ in range(20):
-            expected = step(expected, rule, "direct")
-        got = evolve_batch(batch, rule, 20, "direct")
+            expected = step(expected, rule)
+        got = evolve_batch(batch, rule, 20)
         assert np.array_equal(got, expected)
 
     def test_does_not_mutate_input(self):
         batch = np.random.default_rng(2).random((2, 32, 32))
         before = batch.copy()
-        evolve_batch(batch, load_preset("Orbium"), 3, "direct")
+        evolve_batch(batch, load_preset("Orbium"), 3)
         assert np.array_equal(batch, before)
 
 
