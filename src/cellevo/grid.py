@@ -118,14 +118,7 @@ def centered_patch_state(
 
     The patch is filled row-major so the draw order is reproducible.
     """
-    if patch_side > side:
-        raise ValueError(f"patch side {patch_side} exceeds grid side {side}")
-    state = np.zeros((side, side))
-    lo = (side - patch_side) // 2
-    state[lo : lo + patch_side, lo : lo + patch_side] = rng.random(
-        (patch_side, patch_side)
-    )
-    return state
+    return place_centered(side, rng.random((patch_side, patch_side)))
 
 
 def seeded_patches(count: int, side: int, patch_side: int, seed) -> np.ndarray:

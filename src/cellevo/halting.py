@@ -23,7 +23,7 @@ from .cmaes import CmaEs, default_popsize
 from .config import EvolveCaConfig, HaltingFitnessConfig
 from .grid import check_kernel_fits, seed_path, seeded_patches, substream
 from .parallel import run_search
-from .rules import GLABERISH, GrowthBump, KernelSpec, RuleParams, evolve_batch
+from .rules import GLABERISH, GrowthBump, KernelSpec, RuleParams, trajectory
 
 HALT_THRESHOLD = 1e-6
 SIGMA_LO = 0.001
@@ -68,8 +68,10 @@ def generate_dataset(
         raise ValueError("horizon must be at least 1")
     patch = patch_side if patch_side else grid_side // 2
     grids = seeded_patches(count, grid_side, patch, seed)
-    finals = evolve_batch(grids, rule, horizon)
-    labels = finals.reshape(count, -1).max(axis=1) > HALT_THRESHOLD
+    for _, active, work in trajectory(grids, rule, horizon):
+        pass
+    labels = np.zeros(count, dtype=bool)  # retired grids are exactly zero
+    labels[active] = work.max(axis=(-2, -1)) > HALT_THRESHOLD
     return HaltingDataset(grids, labels, horizon, rule)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .config import MetricsConfig
 from .grid import seeded_patches
 from .halting import HALT_THRESHOLD
-from .rules import RuleParams, step, trajectory
+from .rules import RuleParams, trajectory
 
 ESCAPE_THRESHOLD = 0.01
 
@@ -84,10 +84,7 @@ def compute_metrics(rule: RuleParams, cfg: MetricsConfig, seed: int) -> MetricsR
     fertility = []
     mortality = []
     escaped_now = np.zeros(n, dtype=bool)
-    for t, active, work in trajectory(
-        work, lambda s: step(s, rule), 2 * cfg.window,
-        rule.zero_is_absorbing(),
-    ):
+    for t, active, work in trajectory(work, rule, 2 * cfg.window):
         escaped_now[active] |= _outside_max(work, cfg.box_side) > ESCAPE_THRESHOLD
         if t % cfg.window == 0:
             quiescent = np.ones(n, dtype=bool)  # retired grids are exactly zero

@@ -17,7 +17,7 @@ from .config import PatternEvoConfig
 from .grid import check_kernel_fits, place_centered, substream
 from .parallel import run_search
 from .predictor import sigmoid
-from .rules import RuleParams, step, trajectory
+from .rules import RuleParams, trajectory
 
 ACTIVATIONS = {
     "sine": np.sin,
@@ -191,9 +191,7 @@ def evaluate_tiles(
     survived = np.ones(n, dtype=bool)
     final_mean = np.zeros(n)
 
-    for t, active, work in trajectory(
-        work, lambda s: step(s, rule), cfg.steps, rule.zero_is_absorbing()
-    ):
+    for t, active, work in trajectory(work, rule, cfg.steps):
         if t % cfg.stride and t != cfg.steps:
             continue
         # A retired slice reads as an empty grid: CoM at the center, max 0.

@@ -220,20 +220,21 @@ def step(state: np.ndarray, rule: RuleParams) -> np.ndarray:
     return out
 
 
-def trajectory(work: np.ndarray, advance, steps: int, retire: bool):
-    """Yield (t, active, work) after each update t = 1..steps of a (N, H, W) batch.
+def trajectory(work: np.ndarray, rule: RuleParams, steps: int):
+    """Yield (t, active, work) after each `step` t = 1..steps of a (N, H, W) batch.
 
     `work` holds only the slices whose indices are listed in `active`.
-    With `retire` set, slices whose max is exactly 0 leave both before the
-    yield: their future is known when the empty state is absorbing, and
+    When the empty state is absorbing under `rule`, slices whose max is
+    exactly 0 leave both before the yield: their future is known, and
     per-slice updates are bitwise independent of batch composition. Once
-    no slice is left, the empty batch is yielded without calling advance.
+    no slice is left, the empty batch is yielded without stepping.
     """
+    retire = rule.zero_is_absorbing()
     active = np.arange(work.shape[0])
     for t in range(1, steps + 1):
         if active.size:
             # Rebinding the parameter drops the caller's initial batch.
-            work = advance(work)
+            work = step(work, rule)
             if retire:
                 alive = work.max(axis=(-2, -1)) != 0.0
                 if not alive.all():
@@ -283,9 +284,7 @@ def run(state: np.ndarray, rule: RuleParams, steps: int, every: int = 0,
     if every:
         on_frame(state)
     active, work = np.arange(batch.shape[0]), batch
-    for t, active, work in trajectory(
-        batch, lambda s: step(s, rule), steps, rule.zero_is_absorbing()
-    ):
+    for t, active, work in trajectory(batch, rule, steps):
         means[t - 1, active] = work.mean(axis=(-2, -1))
         maxes[t - 1, active] = work.max(axis=(-2, -1))
         if every and (t % every == 0 or t == steps):
@@ -295,25 +294,6 @@ def run(state: np.ndarray, rule: RuleParams, steps: int, every: int = 0,
         means.reshape(steps, *lead),
         maxes.reshape(steps, *lead),
     )
-
-
-def evolve_batch(state: np.ndarray, rule: RuleParams, steps: int) -> np.ndarray:
-    """Advance a (N, H, W) batch `steps` updates, returning only the final states.
-
-    When the all-zero state is absorbing, slices that reach exactly 0 are
-    retired from the working batch; results are bitwise unchanged.
-    """
-    state = np.asarray(state, dtype=np.float64)
-    if state.ndim != 3:
-        raise ValueError("evolve_batch expects a (N, H, W) batch")
-    active, work = np.arange(state.shape[0]), state
-    for _, active, work in trajectory(
-        state, lambda s: step(s, rule), steps, rule.zero_is_absorbing()
-    ):
-        pass
-    final = np.zeros_like(state)
-    final[active] = work
-    return final
 
 
 # --- serialization -----------------------------------------------------------

@@ -67,6 +67,16 @@ class TestGenerateDataset:
             final = run(ds.grids[i], rule, 12).final
             assert ds.labels[i] == (final.max() > HALT_THRESHOLD)
 
+    def test_labels_match_resimulation_with_retired_grids(self, request):
+        rule = lenia(0.25, 0.01)
+        ds = generate_dataset(rule, 10, 32, 12, seed=9)
+        request.getfixturevalue("shift_add")  # resimulate with the oracle
+        peaks = [run(g, rule, 12).final.max() for g in ds.grids]
+        # Retired grids come before survivors, so labels cannot be packed.
+        assert [i for i, p in enumerate(peaks) if p != 0.0] == [3, 7, 9]
+        for i, peak in enumerate(peaks):
+            assert ds.labels[i] == (peak > HALT_THRESHOLD)
+
     def test_patch_occupies_center_half(self):
         ds = generate_dataset(ALWAYS_DECAY, 4, 32, 1, seed=1)
         g = ds.grids[0]

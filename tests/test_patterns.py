@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 import cellevo.patterns as patterns
+import cellevo.rules as rules
 from cellevo.config import PatternEvoConfig
 from cellevo.patterns import (
     ACT_NAMES,
@@ -43,9 +44,10 @@ def evaluate_tile(tile, rule, cfg):
 def shift_right(monkeypatch):
     """Make the fitness loop's `step` move a grid one cell along its rows.
 
-    A full 0.7 tile never reaches zero, so retirement cannot fire.
+    `trajectory` looks `step` up in `cellevo.rules`, so that is the name
+    patched. A full 0.7 tile never reaches zero, so retirement cannot fire.
     """
-    monkeypatch.setattr(patterns, "step", lambda s, rule: np.roll(s, 1, axis=-1))
+    monkeypatch.setattr(rules, "step", lambda s, rule: np.roll(s, 1, axis=-1))
 
 
 def zero_weight_genome():

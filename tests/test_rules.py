@@ -15,7 +15,6 @@ from cellevo.rules import (
     KernelSpec,
     RuleParams,
     build_kernel,
-    evolve_batch,
     growth_value,
     load_preset,
     preset_names,
@@ -419,6 +418,21 @@ def run_frames(*args, **kwargs):
 
 
 class TestRun:
+    @pytest.mark.usefixtures("shift_add")
+    def test_final_matches_plain_loop_bitwise(self):
+        rng = np.random.default_rng(15)
+        batch = np.stack([
+            centered_patch_state(32, 8, rng),   # will die under decay-heavy rule
+            np.zeros((32, 32)),                 # dead from the start
+            rng.random((32, 32)),
+        ])
+        rule = lenia_rule(0.8, 0.02)  # most states decay, some survive
+        expected = batch.copy()
+        for _ in range(20):
+            expected = step(expected, rule)
+        got = run(batch, rule, 20).final
+        assert np.array_equal(got, expected)
+
     def test_records_per_step_summaries(self):
         state = np.full((30, 30), 0.45)
         res = run(state, always_decay_rule(dt=0.1), 5)
@@ -524,48 +538,40 @@ class TestRun:
 
 
 class TestTrajectory:
-    def test_retires_dead_slices_and_stops_advancing(self):
+    def test_retires_dead_slices_and_stops_advancing(self, monkeypatch):
         calls = []
 
-        def halve_then_kill(s):
+        def halve_then_kill(s, rule):
             calls.append(s.shape[0])
             return np.where(len(calls) >= 2, 0.0, s * 0.5)
 
+        monkeypatch.setattr(rules, "step", halve_then_kill)
         batch = np.stack([np.full((4, 4), 0.5), np.zeros((4, 4))])
         seen = [(t, active.tolist(), work.shape[0])
                 for t, active, work in rules.trajectory(
-                    batch, halve_then_kill, 4, retire=True)]
+                    batch, always_decay_rule(), 4)]
         assert seen == [(1, [0], 1), (2, [], 0), (3, [], 0), (4, [], 0)]
         assert calls == [2, 1]
 
-    def test_keeps_every_slice_without_retire(self):
+    def test_keeps_every_slice_without_retire(self, monkeypatch):
+        monkeypatch.setattr(rules, "step", lambda s, rule: s)
         batch = np.zeros((2, 4, 4))
-        seen = [active.tolist()
-                for _, active, _ in rules.trajectory(batch, lambda s: s, 3, False)]
+        seen = [active.tolist() for _, active, _ in rules.trajectory(
+                    batch, always_grow_rule(), 3)]
         assert seen == [[0, 1]] * 3
 
-
-@pytest.mark.usefixtures("shift_add")
-class TestEvolveBatch:
-    def test_matches_plain_loop_bitwise(self):
-        rng = np.random.default_rng(15)
-        batch = np.stack([
-            centered_patch_state(32, 8, rng),   # will die under decay-heavy rule
-            np.zeros((32, 32)),                 # dead from the start
-            rng.random((32, 32)),
-        ])
-        rule = lenia_rule(0.8, 0.02)  # most states decay, some survive
-        expected = batch.copy()
-        for _ in range(20):
-            expected = step(expected, rule)
-        got = evolve_batch(batch, rule, 20)
-        assert np.array_equal(got, expected)
-
-    def test_does_not_mutate_input(self):
-        batch = np.random.default_rng(2).random((2, 32, 32))
-        before = batch.copy()
-        evolve_batch(batch, load_preset("Orbium"), 3)
-        assert np.array_equal(batch, before)
+    def test_real_step_keeps_zero_slices_when_zero_is_not_absorbing(self):
+        # G(0) = +1 and G(n) < -0.9999 for n >= 0.05, so at dt = 1 the empty
+        # grid fills to 1 and empties again, while the uniform 0.05 grid is
+        # clipped to exactly 0 and refills. Under always_grow_rule() no grid
+        # is 0 after a step, so it cannot tell whether zeros are retired.
+        rule = lenia_rule(0.0, 0.01, dt=1.0)
+        batch = np.stack([np.zeros((32, 32)), np.full((32, 32), 0.05)])
+        seen = [(active.tolist(), work.min(axis=(1, 2)).tolist(),
+                 work.max(axis=(1, 2)).tolist())
+                for _, active, work in rules.trajectory(batch, rule, 2)]
+        assert seen == [([0, 1], [1.0, 0.0], [1.0, 0.0]),
+                        ([0, 1], [0.0, 1.0], [0.0, 1.0])]
 
 
 class TestPresets:
