@@ -68,10 +68,9 @@ def generate_dataset(
         raise ValueError("horizon must be at least 1")
     patch = patch_side if patch_side else grid_side // 2
     grids = seeded_patches(count, grid_side, patch, seed)
-    for _, active, work in trajectory(grids, rule, horizon):
+    for _, each in trajectory(grids, rule, horizon):
         pass
-    labels = np.zeros(count, dtype=bool)  # retired grids are exactly zero
-    labels[active] = work.max(axis=(-2, -1)) > HALT_THRESHOLD
+    labels = each(lambda w: w.max(axis=(-2, -1)) > HALT_THRESHOLD)
     return HaltingDataset(grids, labels, horizon, rule)
 
 

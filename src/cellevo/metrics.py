@@ -79,16 +79,18 @@ def compute_metrics(rule: RuleParams, cfg: MetricsConfig, seed: int) -> MetricsR
     """
     n = cfg.n_grids
     side = cfg.grid_side
-    work = seeded_patches(n, side, cfg.patch_side, seed)
+    # Passed straight in, so `trajectory` alone holds the initial batch.
+    grids = trajectory(seeded_patches(n, side, cfg.patch_side, seed), rule,
+                       2 * cfg.window)
 
     fertility = []
     mortality = []
     escaped_now = np.zeros(n, dtype=bool)
-    for t, active, work in trajectory(work, rule, 2 * cfg.window):
-        escaped_now[active] |= _outside_max(work, cfg.box_side) > ESCAPE_THRESHOLD
+    for t, each in grids:
+        escaped_now |= each(
+            lambda w: _outside_max(w, cfg.box_side) > ESCAPE_THRESHOLD)
         if t % cfg.window == 0:
-            quiescent = np.ones(n, dtype=bool)  # retired grids are exactly zero
-            quiescent[active] = work.max(axis=(-2, -1)) <= HALT_THRESHOLD
+            quiescent = each(lambda w: w.max(axis=(-2, -1)) <= HALT_THRESHOLD)
             fertility.append(float(escaped_now.mean()))
             mortality.append(float(quiescent.mean()))
             escaped_now[:] = False

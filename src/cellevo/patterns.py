@@ -180,31 +180,23 @@ def evaluate_tiles(
     """
     tiles = [np.asarray(t, dtype=np.float64) for t in tiles]
     side = cfg.grid_side
-    # The loop below rebinds `work`, so `trajectory` alone holds the
-    # initial batch and drops it after the first update.
-    work = np.stack([place_centered(side, t) for t in tiles])
-    n = work.shape[0]
+    n = len(tiles)
+    start = np.stack([place_centered(side, t) for t in tiles])
+    mean0 = start.mean(axis=(1, 2))
+    com_prev = _com_batch(start)
+    grids = trajectory(start, rule, cfg.steps)
+    del start  # `grids` alone holds it now and drops it after the first update
 
-    mean0 = work.mean(axis=(1, 2))
-    com_prev = _com_batch(work)
     net = np.zeros((n, 2))
     survived = np.ones(n, dtype=bool)
-    final_mean = np.zeros(n)
-
-    for t, active, work in trajectory(work, rule, cfg.steps):
+    for t, each in grids:
         if t % cfg.stride and t != cfg.steps:
             continue
-        # A retired slice reads as an empty grid: CoM at the center, max 0.
-        com = np.full((n, 2), side / 2.0)
-        peak = np.zeros(n)
-        if active.size:
-            com[active] = _com_batch(work)
-            peak[active] = work.max(axis=(1, 2))
+        com = each(_com_batch)
         net += _wrap_delta(com - com_prev, side)
         com_prev = com
-        survived &= peak > cfg.survival_threshold
-        if t == cfg.steps and active.size:
-            final_mean[active] = work.mean(axis=(1, 2))
+        survived &= each(lambda w: w.max(axis=(1, 2))) > cfg.survival_threshold
+    final_mean = each(lambda w: w.mean(axis=(1, 2)))
 
     motility = np.hypot(net[:, 0], net[:, 1])
     homeo = np.abs(final_mean - mean0) / np.maximum(mean0, 1e-12)

@@ -221,16 +221,29 @@ def step(state: np.ndarray, rule: RuleParams) -> np.ndarray:
 
 
 def trajectory(work: np.ndarray, rule: RuleParams, steps: int):
-    """Yield (t, active, work) after each `step` t = 1..steps of a (N, H, W) batch.
+    """Yield (t, each) after each `step` t = 1..steps of a (N, H, W) batch.
 
-    `work` holds only the slices whose indices are listed in `active`.
-    When the empty state is absorbing under `rule`, slices whose max is
-    exactly 0 leave both before the yield: their future is known, and
-    per-slice updates are bitwise independent of batch composition. Once
-    no slice is left, the empty batch is yielded without stepping.
+    `each(f)` applies a per-grid function `f`, which maps (M, H, W) to
+    (M, ...), to all N grids at step t and returns the (N, ...) result;
+    call it before asking for the next step. When the empty state is
+    absorbing under `rule`, grids whose max is exactly 0 are retired: their
+    future is known, and per-grid updates are bitwise independent of batch
+    composition. A retired grid is no longer stepped or stored, and `each`
+    reads it as a zero grid, reducing one zero grid however many have
+    retired. Once no grid is left, nothing is stepped.
     """
+    n, shape = work.shape[0], work.shape[1:]
     retire = rule.zero_is_absorbing()
-    active = np.arange(work.shape[0])
+    active = np.arange(n)
+
+    def each(f):
+        if active.size == n:
+            return f(work)
+        out = np.repeat(f(np.zeros((1, *shape))), n, axis=0)
+        if active.size:
+            out[active] = f(work)
+        return out
+
     for t in range(1, steps + 1):
         if active.size:
             # Rebinding the parameter drops the caller's initial batch.
@@ -239,7 +252,7 @@ def trajectory(work: np.ndarray, rule: RuleParams, steps: int):
                 alive = work.max(axis=(-2, -1)) != 0.0
                 if not alive.all():
                     active, work = active[alive], work[alive]
-        yield t, active, work
+        yield t, each
 
 
 class RunResult(NamedTuple):
@@ -254,10 +267,10 @@ def run(state: np.ndarray, rule: RuleParams, steps: int, every: int = 0,
 
     With every > 0 it also hands each frame, uncopied, to `on_frame` as it
     is produced: step 0, every `every` steps and the last step. It keeps
-    no frame, so memory does not grow with `steps`. Slices that reach
-    exactly 0 under an absorbing rule stop being simulated; their
-    summaries, frames and final state read 0, as one shared zero array
-    once every slice is retired.
+    no frame, so memory does not grow with `steps`. Summaries, frames and
+    the final state are read through `trajectory`'s `each`, so a grid that
+    reaches exactly 0 under an absorbing rule stops being simulated and
+    reads 0 from then on.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -268,29 +281,15 @@ def run(state: np.ndarray, rule: RuleParams, steps: int, every: int = 0,
     batch = state.reshape(-1, *state.shape[-2:])
     means = np.zeros((steps, batch.shape[0]))
     maxes = np.zeros((steps, batch.shape[0]))
-    dead = None  # allocated when every slice has retired
-
-    def whole(active, work):
-        nonlocal dead
-        if active.size == len(batch):
-            return work.reshape(state.shape)
-        if not active.size:
-            dead = np.zeros_like(batch) if dead is None else dead
-            return dead.reshape(state.shape)
-        out = np.zeros_like(batch)
-        out[active] = work
-        return out.reshape(state.shape)
-
     if every:
         on_frame(state)
-    active, work = np.arange(batch.shape[0]), batch
-    for t, active, work in trajectory(batch, rule, steps):
-        means[t - 1, active] = work.mean(axis=(-2, -1))
-        maxes[t - 1, active] = work.max(axis=(-2, -1))
+    for t, each in trajectory(batch, rule, steps):
+        means[t - 1] = each(lambda w: w.mean(axis=(-2, -1)))
+        maxes[t - 1] = each(lambda w: w.max(axis=(-2, -1)))
         if every and (t % every == 0 or t == steps):
-            on_frame(whole(active, work))
+            on_frame(each(lambda w: w).reshape(state.shape))
     return RunResult(
-        whole(active, work) if steps else state.copy(),
+        each(lambda w: w).reshape(state.shape) if steps else state.copy(),
         means.reshape(steps, *lead),
         maxes.reshape(steps, *lead),
     )

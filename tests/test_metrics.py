@@ -133,7 +133,10 @@ class TestComputeMetrics:
             assert rep.mortality[1] >= rep.mortality[0]
 
     def test_matches_reference_implementation(self, request):
-        rules = (lenia(0.3, 0.05), ALWAYS_DECAY, lenia(0.2, 0.02, dt=1.0))
+        # lenia(0.2, 0.03, dt=1.0) ends windows with retired grids ahead of
+        # live ones (dead/live 0LL00L and 0L0000 at seed 3).
+        rules = (lenia(0.3, 0.05), ALWAYS_DECAY, lenia(0.2, 0.02, dt=1.0),
+                 lenia(0.2, 0.03, dt=1.0))
         cfg = MetricsConfig(
             n_grids=6, grid_side=32, patch_side=8, box_side=12, window=12
         )

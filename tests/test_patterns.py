@@ -237,9 +237,10 @@ class TestEvaluate:
             assert np.array_equal(tile, copy) and tile.flags.writeable
 
     def test_dead_drop_matches_reference_loop(self, monkeypatch):
-        # Straight simulation without the early-exit bookkeeping.
+        # Straight simulation without the early-exit bookkeeping. The uniform
+        # tile is exactly 0 after one step, so it retires ahead of survivors.
         rng = np.random.default_rng(9)
-        tiles = [rng.random((12, 12)) for _ in range(3)]
+        tiles = [np.full((12, 12), 0.05), *(rng.random((12, 12)) for _ in range(3))]
         cfg = PatternEvoConfig(grid_side=32, tile_side=12, steps=16, stride=4)
         fast = evaluate_tiles(tiles, SMALL_RULE, cfg)
         monkeypatch.setattr(RuleParams, "zero_is_absorbing", lambda self: False)

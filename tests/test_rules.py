@@ -482,10 +482,12 @@ class TestRun:
         assert np.array_equal(res.final, state)
         assert res.maxes[-1, 0] == 0.0 and res.maxes[-1, 2] > 0.0
 
-    def test_memory_does_not_grow_with_steps(self):
-        # A frozen rule keeps every frame alive, so none is the shared zero array.
+    @pytest.mark.parametrize("rule", [
+        lenia_rule(0.15, 0.015, dt=0.0),  # frozen: the grid is stepped throughout
+        always_decay_rule(dt=0.1),  # the grid retires within 10 steps
+    ], ids=["frozen", "retired"])
+    def test_memory_does_not_grow_with_steps(self, rule):
         state = np.random.default_rng(4).random((64, 64))
-        rule = lenia_rule(0.15, 0.015, dt=0.0)
 
         def peak(steps):
             tracemalloc.start()
@@ -515,13 +517,12 @@ class TestRun:
             assert np.array_equal(frame, states[t])
         assert run_frames(state, rule, 7) == []
 
-    def test_retired_frames_read_zero_from_one_array(self):
+    def test_retired_frames_read_zero(self):
         frames = run_frames(np.full((30, 30), 0.45), always_decay_rule(dt=0.1),
                             9, every=2)
         assert len(frames) == 6
         dead = frames[3:]  # the grid is exactly 0 from step 5 on
         assert all(np.all(f == 0.0) for f in dead)
-        assert all(np.shares_memory(dead[0], f) for f in dead[1:])
         assert np.all(frames[2] > 0.0)
 
     def test_partly_retired_batch_frames_match_plain_loop(self):
@@ -538,6 +539,14 @@ class TestRun:
 
 
 class TestTrajectory:
+    @staticmethod
+    def maxes(each, sizes):
+        """Per-grid maxes through `each`, noting the batch sizes it reduces."""
+        def f(w):
+            sizes.append(w.shape[0])
+            return w.max(axis=(1, 2))
+        return each(f).tolist()
+
     def test_retires_dead_slices_and_stops_advancing(self, monkeypatch):
         calls = []
 
@@ -546,19 +555,31 @@ class TestTrajectory:
             return np.where(len(calls) >= 2, 0.0, s * 0.5)
 
         monkeypatch.setattr(rules, "step", halve_then_kill)
-        batch = np.stack([np.full((4, 4), 0.5), np.zeros((4, 4))])
-        seen = [(t, active.tolist(), work.shape[0])
-                for t, active, work in rules.trajectory(
-                    batch, always_decay_rule(), 4)]
-        assert seen == [(1, [0], 1), (2, [], 0), (3, [], 0), (4, [], 0)]
+        batch = np.stack([np.zeros((4, 4)), np.full((4, 4), 0.5)])
+        sizes = []
+        seen = [(t, self.maxes(each, sizes))
+                for t, each in rules.trajectory(batch, always_decay_rule(), 4)]
+        assert seen == [(1, [0.0, 0.25]), (2, [0.0, 0.0]), (3, [0.0, 0.0]),
+                        (4, [0.0, 0.0])]
         assert calls == [2, 1]
+        # One zero grid stands for every retired grid: (zero, live), then zero.
+        assert sizes == [1, 1, 1, 1, 1]
 
     def test_keeps_every_slice_without_retire(self, monkeypatch):
-        monkeypatch.setattr(rules, "step", lambda s, rule: s)
+        calls = []
+
+        def identity(s, rule):
+            calls.append(s.shape[0])
+            return s
+
+        monkeypatch.setattr(rules, "step", identity)
         batch = np.zeros((2, 4, 4))
-        seen = [active.tolist() for _, active, _ in rules.trajectory(
+        sizes = []
+        seen = [self.maxes(each, sizes) for _, each in rules.trajectory(
                     batch, always_grow_rule(), 3)]
-        assert seen == [[0, 1]] * 3
+        assert seen == [[0.0, 0.0]] * 3
+        assert calls == [2, 2, 2]
+        assert sizes == [2, 2, 2]  # the whole batch, no zero grid
 
     def test_real_step_keeps_zero_slices_when_zero_is_not_absorbing(self):
         # G(0) = +1 and G(n) < -0.9999 for n >= 0.05, so at dt = 1 the empty
@@ -567,11 +588,10 @@ class TestTrajectory:
         # is 0 after a step, so it cannot tell whether zeros are retired.
         rule = lenia_rule(0.0, 0.01, dt=1.0)
         batch = np.stack([np.zeros((32, 32)), np.full((32, 32), 0.05)])
-        seen = [(active.tolist(), work.min(axis=(1, 2)).tolist(),
-                 work.max(axis=(1, 2)).tolist())
-                for _, active, work in rules.trajectory(batch, rule, 2)]
-        assert seen == [([0, 1], [1.0, 0.0], [1.0, 0.0]),
-                        ([0, 1], [0.0, 1.0], [0.0, 1.0])]
+        seen = [(each(lambda w: w.min(axis=(1, 2))).tolist(),
+                 each(lambda w: w.max(axis=(1, 2))).tolist())
+                for _, each in rules.trajectory(batch, rule, 2)]
+        assert seen == [([1.0, 0.0], [1.0, 0.0]), ([0.0, 1.0], [0.0, 1.0])]
 
 
 class TestPresets:
