@@ -70,7 +70,6 @@ class HaltingFitnessConfig(_FromDict):
     n_predictors: int = 3
     epochs: int = 20
     split: float = 0.75
-    seed: int | tuple = 0
 
     def __post_init__(self):
         if self.n_grids < 2:

@@ -8,13 +8,17 @@ grids to a horizon and asking either
   initial grid alone, whether it will still be active? (negated mean
   validation accuracy — harder to predict scores higher)
 
+Both scorers are f(rule, cfg, seed), like `metrics.compute_metrics`: the
+dataset is `generate_dataset(rule, cfg, (seed, 0))`, whose grid j comes
+from the (seed, 0, j) stream, and CNN n trains from (seed, 1 + n).
+
 Candidates are 4-vectors in unbounded space, squashed to (genesis mu,
 genesis sigma, persistence mu, persistence sigma) bounds, and optimized
 with CMA-ES; a uniform random search serves as the baseline mode.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,8 +42,6 @@ class HaltingDataset:
 
     grids: np.ndarray  # (M, side, side) initial states
     labels: np.ndarray  # (M,) bool, True = active at horizon
-    horizon: int
-    rule: RuleParams
 
     def __post_init__(self):
         # Read-only views: the caller's own arrays stay writeable.
@@ -49,29 +51,19 @@ class HaltingDataset:
             object.__setattr__(self, name, view)
 
 
-def generate_dataset(
-    rule: RuleParams,
-    count: int,
-    grid_side: int,
-    horizon: int,
-    seed,
-    patch_side: int = 0,
-) -> HaltingDataset:
-    """Simulate `count` seeded initial grids to `horizon` and label them.
+def generate_dataset(rule: RuleParams, cfg: HaltingFitnessConfig,
+                     seed) -> HaltingDataset:
+    """Simulate cfg.n_grids seeded initial grids to cfg.horizon and label them.
 
-    Grid i draws its centered patch (side grid_side/2 unless overridden)
-    from the (seed, i) stream.
+    Grid i draws its centered patch (side cfg.patch_side, or grid_side/2
+    when that is 0) from the (seed, i) stream.
     """
-    if count < 2:
-        raise ValueError("count must be at least 2")
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    patch = patch_side if patch_side else grid_side // 2
-    grids = seeded_patches(count, grid_side, patch, seed)
-    for _, each in trajectory(grids, rule, horizon):
+    patch = cfg.patch_side or cfg.grid_side // 2
+    grids = seeded_patches(cfg.n_grids, cfg.grid_side, patch, seed)
+    for _, each in trajectory(grids, rule, cfg.horizon):
         pass
     labels = each(lambda w: w.max(axis=(-2, -1)) > HALT_THRESHOLD)
-    return HaltingDataset(grids, labels, horizon, rule)
+    return HaltingDataset(grids, labels)
 
 
 def balance_fitness(active_fraction: float) -> float:
@@ -79,20 +71,8 @@ def balance_fitness(active_fraction: float) -> float:
     return -((active_fraction - 0.5) ** 2)
 
 
-def _fitness_dataset(rule: RuleParams, cfg: HaltingFitnessConfig) -> HaltingDataset:
-    """The dataset a fitness evaluation scores, from the (cfg.seed, 0) stream."""
-    return generate_dataset(
-        rule,
-        cfg.n_grids,
-        cfg.grid_side,
-        cfg.horizon,
-        seed_path(cfg.seed, 0),
-        patch_side=cfg.patch_side,
-    )
-
-
-def simple_fitness(rule: RuleParams, cfg: HaltingFitnessConfig) -> float:
-    ds = _fitness_dataset(rule, cfg)
+def simple_fitness(rule: RuleParams, cfg: HaltingFitnessConfig, seed) -> float:
+    ds = generate_dataset(rule, cfg, seed_path(seed, 0))
     return balance_fitness(float(ds.labels.mean()))
 
 
@@ -105,13 +85,14 @@ def prediction_difficulty(accuracies) -> float:
 
 
 def predictor_fitness_from_dataset(
-    ds: HaltingDataset, cfg: HaltingFitnessConfig
+    ds: HaltingDataset, cfg: HaltingFitnessConfig, seed
 ) -> float:
     """Negated mean validation accuracy of cfg.n_predictors trained CNNs.
 
-    A single-class dataset scores -1, the constant predictor's score,
-    without training. Trained CNNs reach it too at the default config,
-    but not untrained ones (0 epochs).
+    CNN n trains from the (seed, 1 + n) stream. A single-class dataset
+    scores -1, the constant predictor's score, without training. Trained
+    CNNs reach it too at the default config, but not untrained ones
+    (0 epochs).
     """
     if ds.labels.min() == ds.labels.max():
         return -1.0
@@ -121,15 +102,16 @@ def predictor_fitness_from_dataset(
             ds.labels,
             epochs=cfg.epochs,
             split=cfg.split,
-            seed=seed_path(cfg.seed, 1 + n),
+            seed=seed_path(seed, 1 + n),
         ).val_accuracy
         for n in range(cfg.n_predictors)
     ]
     return prediction_difficulty(accs)
 
 
-def predictor_fitness(rule: RuleParams, cfg: HaltingFitnessConfig) -> float:
-    return predictor_fitness_from_dataset(_fitness_dataset(rule, cfg), cfg)
+def predictor_fitness(rule: RuleParams, cfg: HaltingFitnessConfig, seed) -> float:
+    ds = generate_dataset(rule, cfg, seed_path(seed, 0))
+    return predictor_fitness_from_dataset(ds, cfg, seed)
 
 
 # --- genome mapping ----------------------------------------------------------
@@ -223,11 +205,8 @@ def _evaluate(args) -> float:
         value = fitness_fn(raw, eval_seed)
     else:
         rule = genome_to_rule(raw, cfg.kernel, cfg.dt)
-        fcfg = replace(cfg.fitness, seed=eval_seed)
-        if mode == "predictor":
-            value = predictor_fitness(rule, fcfg)
-        else:
-            value = simple_fitness(rule, fcfg)
+        fitness = predictor_fitness if mode == "predictor" else simple_fitness
+        value = fitness(rule, cfg.fitness, eval_seed)
     return float(value)
 
 

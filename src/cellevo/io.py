@@ -68,6 +68,15 @@ class PatternFile:
     tile: np.ndarray
 
 
+def _check_tile(tile: np.ndarray) -> np.ndarray:
+    """The one tile check of save and load: 2-D, nonempty, cells in [0, 1]."""
+    if tile.ndim != 2 or tile.size == 0:
+        raise ValueError(f"tile must be 2-D and nonempty, got shape {tile.shape}")
+    if not np.all(np.isfinite(tile)) or tile.min() < 0.0 or tile.max() > 1.0:
+        raise ValueError("pattern cells must be finite and in [0, 1]")
+    return tile
+
+
 def save_pattern(
     path: str | Path,
     *,
@@ -76,9 +85,7 @@ def save_pattern(
     rule: RuleParams | str,
 ) -> Path:
     """Store a tile with its rule, given as a preset name or a full rule."""
-    tile = np.asarray(tile, dtype=np.float64)
-    if tile.ndim != 2:
-        raise ValueError(f"tile must be 2-D, got shape {tile.shape}")
+    tile = _check_tile(np.asarray(tile, dtype=np.float64))
     if isinstance(rule, str):
         load_preset(rule)  # fail fast on unknown names
         rule_field: str | dict = rule
@@ -106,13 +113,9 @@ def load_pattern(path: str | Path) -> PatternFile:
     cells = json_value(data["cells"], tuple[float, ...], "cells", "pattern")
     if height < 1 or width < 1:
         raise ValueError("pattern height and width must be positive")
-    cells = np.asarray(cells, dtype=np.float64)
-    if cells.shape != (height * width,):
-        raise ValueError(
-            f"expected {height * width} cells, got {cells.size}"
-        )
-    if not np.all(np.isfinite(cells)) or cells.min() < 0.0 or cells.max() > 1.0:
-        raise ValueError("pattern cells must be finite and in [0, 1]")
+    if len(cells) != height * width:
+        raise ValueError(f"expected {height * width} cells, got {len(cells)}")
+    tile = _check_tile(np.reshape(cells, (height, width)))
     rule_field = data["rule"]
     if isinstance(rule_field, str):
         rule = load_preset(rule_field)
@@ -120,7 +123,6 @@ def load_pattern(path: str | Path) -> PatternFile:
         rule = rule_from_dict(rule_field)
     else:
         raise ValueError("pattern 'rule' must be a preset name or rule object")
-    tile = cells.reshape(height, width)
     tile.flags.writeable = False
     return PatternFile(name=name, rule=rule, tile=tile)
 

@@ -133,32 +133,28 @@ def test_criterion_05_cmaes_solves_ten_dimensional_sphere_three_seeds():
 
 
 def test_criterion_06_balance_scan_maximizer_is_near_half_active():
-    cfg = HaltingFitnessConfig(n_grids=32, grid_side=40, horizon=32, seed=0)
+    cfg = HaltingFitnessConfig(n_grids=32, grid_side=40, horizon=32)
     best = -np.inf
     for g_mu in np.linspace(0.0, 0.25, 21):
         for p_mu in np.linspace(0.0, 0.25, 21):
             rule = RuleParams("scan", "glaberish", DEFAULT_EVO_KERNEL, 0.1,
                               genesis=GrowthBump(g_mu, 0.015),
                               persistence=GrowthBump(p_mu, 0.03))
-            best = max(best, simple_fitness(rule, cfg))
+            best = max(best, simple_fitness(rule, cfg, 0))
     # fitness = -(q - 1/2)^2, so the maximizer's |q - 1/2| is sqrt(-best)
     distance = float(np.sqrt(-best))
     assert distance < 0.1, f"best |q - 0.5| = {distance:.3f}"
 
 
 def test_criterion_07_predictor_fitness_floor_and_ceiling():
-    cfg = HaltingFitnessConfig(seed=0)
-    f_decay = predictor_fitness(ALWAYS_DECAY, cfg)
+    f_decay = predictor_fitness(ALWAYS_DECAY, HaltingFitnessConfig(), 0)
     assert f_decay <= -0.9, f"always-decay fitness {f_decay:.3f}"
 
     rng = substream(123, 0)
     grids = rng.random((256, 32, 32))
     labels = rng.random(256) < 0.5  # labels carry no information
-    dataset = HaltingDataset(grids=grids, labels=labels, horizon=0,
-                             rule=ALWAYS_DECAY)
-    f_coin = predictor_fitness_from_dataset(
-        dataset, HaltingFitnessConfig(seed=5)
-    )
+    dataset = HaltingDataset(grids=grids, labels=labels)
+    f_coin = predictor_fitness_from_dataset(dataset, HaltingFitnessConfig(), 5)
     assert -1.0 <= f_coin <= 0.0
     assert f_coin >= -0.65, f"coin-label fitness {f_coin:.3f}"
 

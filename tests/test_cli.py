@@ -69,11 +69,15 @@ class TestExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 1
 
-    def test_runtime_error_is_2(self, tmp_path, capsys):
-        # Kernel side 27 cannot fit a 16x16 grid: fails during the run.
+    def test_side_below_kernel_side_is_1(self, tmp_path, capsys):
+        # Kernel side 27 cannot fit a 16x16 grid: refused before --out.
+        out = tmp_path / "out"
         args = ["simulate", "--rule", "Orbium", "--side", "16", "--steps", "1",
-                "--out", str(tmp_path)]
-        assert main(args) == 2
+                "--out", str(out)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "side 16" in err and "grid_side" not in err
+        assert not out.exists()
 
     def test_kernel_missing_field_names_it(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

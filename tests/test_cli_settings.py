@@ -4,8 +4,7 @@ For each subcommand, hypothesis draws small settings with zero, negative
 and below-kernel-side values mixed in, plus --config files that set
 config-only fields and, for render, --pattern files with small tiles.
 Every run must exit 0, or exit 1 with a `cellevo: error:` message and no
---out. The one exit 2 allowed is simulate on a grid smaller than its
-rule's kernel, the runtime error that test_runtime_error_is_2 pins.
+--out.
 """
 import contextlib
 import io
@@ -51,8 +50,8 @@ def flags(**values):
     return argv
 
 
-# Each strategy draws (argv, config dict or None, pattern or None, whether
-# exit 2 is allowed); a pattern is (tile, preset name).
+# Each strategy draws (argv, config dict or None, pattern or None); a
+# pattern is (tile, preset name).
 
 @st.composite
 def simulate(draw):
@@ -62,7 +61,7 @@ def simulate(draw):
                     frames_every=ints(0, 4)))
     init = draw(st.sampled_from(["patch", "uniform"]))
     argv = ["simulate", "--rule", rule, "--init", init, *flags(**v)]
-    return argv, None, None, v["side"] < kernel_side(rule)
+    return argv, None, None
 
 
 @st.composite
@@ -74,7 +73,7 @@ def evolve_ca(draw):
                     horizon=ints(1, 8), epochs=ints(0, 1), workers=ints(1, 2),
                     patch_side=(st.integers(0, 48), st.integers(-3, -1))))
     config = {"fitness": {"patch_side": v.pop("patch_side")}}
-    return ["evolve-ca", "--mode", mode, *flags(**v)], config, None, False
+    return ["evolve-ca", "--mode", mode, *flags(**v)], config, None
 
 
 @st.composite
@@ -88,7 +87,7 @@ def evolve_pattern(draw):
                     st.sampled_from([-1.0, math.nan, math.inf])),
         act_prob=(st.floats(0.0, 1.0), st.sampled_from([-0.5, 2.0, math.nan]))))
     config = {name: v.pop(name) for name in ("stride", "weight_std", "act_prob")}
-    return ["evolve-pattern", "--rule", rule, *flags(**v)], config, None, False
+    return ["evolve-pattern", "--rule", rule, *flags(**v)], config, None
 
 
 @st.composite
@@ -97,7 +96,7 @@ def metrics(draw):
     v = draw(values(seed=SEED, grid_side=ints(kernel_side(rule), 64),
                     n_grids=ints(1, 8), patch_side=ints(1, 16),
                     box_side=ints(1, 16), window=ints(1, 8)))
-    return ["metrics", "--rule", rule, *flags(**v)], None, None, False
+    return ["metrics", "--rule", rule, *flags(**v)], None, None
 
 
 @st.composite
@@ -108,7 +107,7 @@ def render(draw):
     rule = pattern[1] if pattern else "Orbium"
     v = draw(values(seed=SEED, grid_side=ints(kernel_side(rule), 64),
                     steps=ints(0, 8), every=ints(1, 4)))
-    return ["render", *flags(**v)], None, pattern, False
+    return ["render", *flags(**v)], None, pattern
 
 
 COMMANDS = {"simulate": simulate(), "evolve-ca": evolve_ca(),
@@ -121,7 +120,7 @@ COMMANDS = {"simulate": simulate(), "evolve-ca": evolve_ca(),
 @given(data=st.data())
 def test_small_setting_runs_or_is_refused_before_out(tmp_path_factory,
                                                      command, data):
-    argv, config, pattern, exit_2_allowed = data.draw(COMMANDS[command])
+    argv, config, pattern = data.draw(COMMANDS[command])
     tmp = tmp_path_factory.mktemp(command)  # fresh per example
     if config is not None:
         (tmp / "config.json").write_text(json.dumps(config))
@@ -136,7 +135,7 @@ def test_small_setting_runs_or_is_refused_before_out(tmp_path_factory,
             contextlib.redirect_stdout(io.StringIO()):
         code = main([*argv, "--out", str(out)])
     event(f"exit {code}")
-    assert code in ((0, 1, 2) if exit_2_allowed else (0, 1)), err.getvalue()
+    assert code in (0, 1), err.getvalue()
     if code == 1:
         assert err.getvalue().startswith("cellevo: error:")
         assert not out.exists()

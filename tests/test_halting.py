@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cellevo import predictor
+from cellevo import halting, predictor
 from cellevo.cmaes import CmaEs
-from cellevo.config import EvolveCaConfig, HaltingFitnessConfig
+from cellevo.config import (DEFAULT_EVO_KERNEL, EvolveCaConfig,
+                            HaltingFitnessConfig)
 from cellevo.grid import seed_path
 from cellevo.halting import (
     HALT_THRESHOLD,
@@ -37,31 +38,35 @@ ALWAYS_DECAY = lenia(50.0, 0.1)
 ALWAYS_GROW = lenia(0.0, 1e9)
 
 FAST_FITNESS = HaltingFitnessConfig(
-    n_grids=16, grid_side=32, horizon=16, epochs=2, seed=0
+    n_grids=16, grid_side=32, horizon=16, epochs=2
 )
 FAST_EVO = EvolveCaConfig(
     generations=2, kernel=SMALL_KERNEL, fitness=FAST_FITNESS
 )
 
 
+def dataset_cfg(n_grids, horizon):
+    return HaltingFitnessConfig(n_grids=n_grids, grid_side=32, horizon=horizon)
+
+
 class TestGenerateDataset:
     def test_always_decay_labels_false(self):
-        ds = generate_dataset(ALWAYS_DECAY, 8, 32, 16, seed=0)
+        ds = generate_dataset(ALWAYS_DECAY, dataset_cfg(8, 16), seed=0)
         assert not ds.labels.any()
 
     def test_always_grow_labels_true(self):
-        ds = generate_dataset(ALWAYS_GROW, 8, 32, 4, seed=0)
+        ds = generate_dataset(ALWAYS_GROW, dataset_cfg(8, 4), seed=0)
         assert ds.labels.all()
 
     def test_deterministic(self):
-        a = generate_dataset(lenia(0.15, 0.015), 6, 32, 8, seed=3)
-        b = generate_dataset(lenia(0.15, 0.015), 6, 32, 8, seed=3)
+        a = generate_dataset(lenia(0.15, 0.015), dataset_cfg(6, 8), seed=3)
+        b = generate_dataset(lenia(0.15, 0.015), dataset_cfg(6, 8), seed=3)
         assert np.array_equal(a.grids, b.grids)
         assert np.array_equal(a.labels, b.labels)
 
     def test_labels_match_resimulation(self, request):
         rule = lenia(0.3, 0.05)
-        ds = generate_dataset(rule, 10, 32, 12, seed=9)
+        ds = generate_dataset(rule, dataset_cfg(10, 12), seed=9)
         request.getfixturevalue("shift_add")  # resimulate with the oracle
         for i in (0, 4, 9):
             final = run(ds.grids[i], rule, 12).final
@@ -69,7 +74,7 @@ class TestGenerateDataset:
 
     def test_labels_match_resimulation_with_retired_grids(self, request):
         rule = lenia(0.25, 0.01)
-        ds = generate_dataset(rule, 10, 32, 12, seed=9)
+        ds = generate_dataset(rule, dataset_cfg(10, 12), seed=9)
         request.getfixturevalue("shift_add")  # resimulate with the oracle
         peaks = [run(g, rule, 12).final.max() for g in ds.grids]
         # Retired grids come before survivors, so labels cannot be packed.
@@ -78,7 +83,7 @@ class TestGenerateDataset:
             assert ds.labels[i] == (peak > HALT_THRESHOLD)
 
     def test_patch_occupies_center_half(self):
-        ds = generate_dataset(ALWAYS_DECAY, 4, 32, 1, seed=1)
+        ds = generate_dataset(ALWAYS_DECAY, dataset_cfg(4, 1), seed=1)
         g = ds.grids[0]
         assert np.all(g[8:24, 8:24] > 0)
         border = g.copy()
@@ -86,20 +91,20 @@ class TestGenerateDataset:
         assert border.max() == 0
 
     def test_rejects_degenerate_sizes(self):
-        with pytest.raises(ValueError, match="count"):
-            generate_dataset(ALWAYS_DECAY, 1, 32, 4, seed=0)
+        with pytest.raises(ValueError, match="n_grids"):
+            HaltingFitnessConfig(n_grids=1)
         with pytest.raises(ValueError, match="horizon"):
-            generate_dataset(ALWAYS_DECAY, 4, 32, 0, seed=0)
+            HaltingFitnessConfig(horizon=0)
 
     def test_grids_read_only(self):
-        ds = generate_dataset(ALWAYS_DECAY, 4, 32, 1, seed=0)
+        ds = generate_dataset(ALWAYS_DECAY, dataset_cfg(4, 1), seed=0)
         with pytest.raises(ValueError):
             ds.grids[0, 0, 0] = 1.0
 
     def test_callers_arrays_stay_writeable(self):
         grids = np.zeros((2, 8, 8))
         labels = np.array([True, False])
-        ds = HaltingDataset(grids, labels, 1, ALWAYS_DECAY)
+        ds = HaltingDataset(grids, labels)
         assert grids.flags.writeable and labels.flags.writeable
         assert not ds.grids.flags.writeable and not ds.labels.flags.writeable
 
@@ -112,13 +117,13 @@ class TestSimpleFitness:
         assert balance_fitness(0.25) == -0.0625
 
     def test_extremes_score_quarter(self):
-        cfg = HaltingFitnessConfig(n_grids=8, grid_side=32, horizon=8, seed=0)
-        assert simple_fitness(ALWAYS_DECAY, cfg) == -0.25
-        assert simple_fitness(ALWAYS_GROW, cfg) == -0.25
+        cfg = HaltingFitnessConfig(n_grids=8, grid_side=32, horizon=8)
+        assert simple_fitness(ALWAYS_DECAY, cfg, 0) == -0.25
+        assert simple_fitness(ALWAYS_GROW, cfg, 0) == -0.25
 
     def test_range(self):
-        cfg = HaltingFitnessConfig(n_grids=12, grid_side=32, horizon=8, seed=2)
-        f = simple_fitness(lenia(0.3, 0.05), cfg)
+        cfg = HaltingFitnessConfig(n_grids=12, grid_side=32, horizon=8)
+        f = simple_fitness(lenia(0.3, 0.05), cfg, 2)
         assert -0.25 <= f <= 0.0
 
 
@@ -131,9 +136,9 @@ class TestPredictorFitness:
     def test_always_decay_is_easy(self):
         # Constant labels: nets learn the bias almost immediately.
         cfg = HaltingFitnessConfig(
-            n_grids=16, grid_side=32, horizon=8, epochs=5, seed=4
+            n_grids=16, grid_side=32, horizon=8, epochs=5
         )
-        f = predictor_fitness(ALWAYS_DECAY, cfg)
+        f = predictor_fitness(ALWAYS_DECAY, cfg, 4)
         assert f <= -0.9
 
     @pytest.mark.parametrize("rule", [ALWAYS_DECAY, ALWAYS_GROW],
@@ -141,11 +146,11 @@ class TestPredictorFitness:
     def test_single_class_scores_as_trained_without_training(self, rule,
                                                             monkeypatch):
         cfg = HaltingFitnessConfig(horizon=16)  # default size, epochs, split
-        ds = generate_dataset(rule, cfg.n_grids, cfg.grid_side, cfg.horizon, 0)
+        ds = generate_dataset(rule, cfg, 0)
         assert len(np.unique(ds.labels)) == 1
         trained = prediction_difficulty([
             predictor.train(ds.grids, ds.labels, epochs=cfg.epochs, split=cfg.split,
-                            seed=seed_path(cfg.seed, 1 + n)).val_accuracy
+                            seed=seed_path(0, 1 + n)).val_accuracy
             for n in range(cfg.n_predictors)
         ])
 
@@ -153,15 +158,15 @@ class TestPredictorFitness:
             raise AssertionError("a single-class dataset was trained on")
 
         monkeypatch.setattr(predictor, "train", no_training)
-        assert predictor_fitness_from_dataset(ds, cfg) == trained == -1.0
+        assert predictor_fitness_from_dataset(ds, cfg, 0) == trained == -1.0
 
     def test_bounds(self):
-        f = predictor_fitness(lenia(0.3, 0.05), FAST_FITNESS)
+        f = predictor_fitness(lenia(0.3, 0.05), FAST_FITNESS, 0)
         assert -1.0 <= f <= 0.0
 
     def test_deterministic(self):
-        a = predictor_fitness(lenia(0.3, 0.05), FAST_FITNESS)
-        b = predictor_fitness(lenia(0.3, 0.05), FAST_FITNESS)
+        a = predictor_fitness(lenia(0.3, 0.05), FAST_FITNESS, 0)
+        b = predictor_fitness(lenia(0.3, 0.05), FAST_FITNESS, 0)
         assert a == b
 
 
@@ -363,3 +368,33 @@ class TestEvolveRules:
         res = evolve_rules("simple", FAST_EVO, seed=7)
         assert -0.25 <= res.best_fitness <= 0.0
         assert res.best_rule.framework == "glaberish"
+
+    def test_builtin_fitness_stream_layout(self, monkeypatch):
+        # Candidate i of generation g builds its dataset from (seed, g, i, 0)
+        # and trains CNN n from (seed, g, i, 1 + n). Near the origin genome
+        # the wide kernel leaves datasets mixed, so training runs.
+        real_dataset, real_train = halting.generate_dataset, predictor.train
+        datasets, trained = [], []
+
+        def spy_dataset(rule, cfg, seed):
+            ds = real_dataset(rule, cfg, seed)
+            datasets.append((tuple(seed), ds.labels.min() != ds.labels.max()))
+            return ds
+
+        def spy_train(*args, seed, **kwargs):
+            trained.append(tuple(seed))
+            return real_train(*args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(halting, "generate_dataset", spy_dataset)
+        monkeypatch.setattr(predictor, "train", spy_train)
+        cfg = EvolveCaConfig(
+            generations=2, popsize=2, sigma0=0.001, kernel=DEFAULT_EVO_KERNEL,
+            fitness=HaltingFitnessConfig(n_grids=8, grid_side=64, horizon=32,
+                                         epochs=1, n_predictors=2),
+        )
+        evolve_rules("predictor", cfg, seed=3)
+        assert [s for s, _ in datasets] == [
+            (3, g, i, 0) for g in (1, 2) for i in (0, 1)]
+        assert any(mixed for _, mixed in datasets)
+        assert trained == [(*s[:3], 1 + n) for s, mixed in datasets if mixed
+                           for n in range(2)]

@@ -147,6 +147,15 @@ class TestPatternFiles:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             load_pattern(p)
 
+    @pytest.mark.parametrize("tile", [np.full((3, 3), 1.5),
+                                      np.full((3, 3), np.nan), np.zeros((0, 3))],
+                             ids=["above-1", "nan", "empty"])
+    def test_save_refuses_tile_load_would_refuse(self, tmp_path, tile):
+        path = tmp_path / "p.json"
+        with pytest.raises(ValueError):
+            save_pattern(path, name="g", tile=tile, rule=small_rule())
+        assert not path.exists()
+
     def test_cells_are_row_major(self, tmp_path):
         tile = np.array([[0.0, 0.25], [0.5, 1.0]])
         p = save_pattern(tmp_path / "p.json", name="g", tile=tile, rule=small_rule())

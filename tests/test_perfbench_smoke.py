@@ -14,8 +14,8 @@ ROOT = Path(__file__).resolve().parent.parent
 END_TO_END = {"setup_s", "wall_s", "cpu_s", "peak_rss_mb"}
 
 
-@pytest.mark.parametrize("workload", ["persistent-metrics", "glider-search",
-                                      "simulate-frames"])
+@pytest.mark.parametrize("workload", ["rule-search", "persistent-metrics",
+                                      "glider-search", "simulate-frames"])
 def test_one_round_reports_correct_result(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
