@@ -76,6 +76,8 @@ class HaltingFitnessConfig(_FromDict):
             raise ValueError("n_grids must be at least 2")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
+        if self.grid_side < 1:
+            raise ValueError("grid_side must be at least 1")
         if not 0 <= self.patch_side <= self.grid_side:
             raise ValueError("patch_side must lie in [0, grid_side]")
         if self.epochs < 0:
@@ -168,6 +170,8 @@ class MetricsConfig(_FromDict):
             raise ValueError("n_grids must be at least 1")
         if self.window < 1:
             raise ValueError("window must be at least 1")
+        if self.grid_side < 1:
+            raise ValueError("grid_side must be at least 1")
         if not 0 < self.patch_side <= self.grid_side:
             raise ValueError("patch_side must fit the grid")
         if not 0 < self.box_side < self.grid_side:

@@ -135,18 +135,6 @@ def squash_genome(raw) -> np.ndarray:
     return out
 
 
-def unsquash_genome(params) -> np.ndarray:
-    """Inverse of squash_genome; bounded values must lie strictly inside."""
-    p = np.asarray(params, dtype=np.float64)
-    if p.shape != (GENOME_DIM,):
-        raise ValueError(f"genome must have {GENOME_DIM} entries")
-    unit = p.copy()
-    unit[1::2] = (p[1::2] - SIGMA_LO) / (SIGMA_HI - SIGMA_LO)
-    if np.any(unit <= 0.0) or np.any(unit >= 1.0):
-        raise ValueError("parameters must lie strictly inside the squash bounds")
-    return _logit(unit)
-
-
 def genome_to_rule(
     raw, kernel: KernelSpec, dt: float, name: str = "candidate"
 ) -> RuleParams:

@@ -8,19 +8,23 @@ Fixed architecture on 32x32 inputs:
     global average pool                     8
     dense 8 -> 1 + logistic                 probability of "active"
 
-673 parameters total. Forward pass and backprop are hand-rolled numpy so
-gradients can be finite-difference checked; training is plain SGD with
-momentum on binary cross-entropy. Activations are channels-last, and each
-convolution is an im2col window copy followed by one matmul (Chellapilla,
-Puri & Simard 2006). The conv1 windows depend only on the input, so
-`train` copies them once per dataset and gathers each batch's rows from
-that copy. The conv2 input gradient is one stacked matmul against the
-weights laid out per window offset, whose nine blocks are scatter-added
-onto the pooled grid: the adjoint of the window copy.
+673 parameters total. They live in one flat vector; `PredictorWeights`
+views its slices under the layer names, so an in-place update of the
+vector moves every layer. Forward pass and backprop are hand-rolled numpy
+so gradients can be finite-difference checked; training is plain SGD with
+momentum on binary cross-entropy, at a fixed learning rate and momentum.
+Activations are channels-last, and each convolution is an im2col window
+copy followed by one matmul (Chellapilla, Puri & Simard 2006). The conv1
+windows depend only on the input, so `train` copies them once per dataset
+and gathers each batch's rows from that copy. The conv2 input gradient is
+one stacked matmul against the weights laid out per window offset, whose
+nine blocks are scatter-added onto the pooled grid: the adjoint of the
+window copy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -29,20 +33,24 @@ from .grid import block_mean, substream
 
 INPUT_SIDE = 32
 N_CHANNELS = 8
+LEARNING_RATE = 0.05
+MOMENTUM = 0.9
 
+# Layer shapes in packing order: the fields of PredictorWeights.
 _SHAPES = (
-    ("conv1_w", (N_CHANNELS, 1, 3, 3)),
-    ("conv1_b", (N_CHANNELS,)),
-    ("conv2_w", (N_CHANNELS, N_CHANNELS, 3, 3)),
-    ("conv2_b", (N_CHANNELS,)),
-    ("dense_w", (N_CHANNELS,)),
-    ("dense_b", ()),
+    (N_CHANNELS, 1, 3, 3),
+    (N_CHANNELS,),
+    (N_CHANNELS, N_CHANNELS, 3, 3),
+    (N_CHANNELS,),
+    (N_CHANNELS,),
+    (),
 )
-PARAM_COUNT = sum(int(np.prod(s)) for _, s in _SHAPES)  # 673
+PARAM_COUNT = sum(int(np.prod(s)) for s in _SHAPES)  # 673
 
 
-@dataclass
-class PredictorWeights:
+class PredictorWeights(NamedTuple):
+    """The layers of one flat parameter vector, as reshaped views of it."""
+
     conv1_w: np.ndarray
     conv1_b: np.ndarray
     conv2_w: np.ndarray
@@ -50,37 +58,14 @@ class PredictorWeights:
     dense_w: np.ndarray
     dense_b: np.ndarray
 
-    def __post_init__(self):
-        for name, shape in _SHAPES:
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if arr.shape != shape:
-                raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite")
-            setattr(self, name, arr)
-
-    def pack(self) -> np.ndarray:
-        return np.concatenate(
-            [np.asarray(getattr(self, name)).ravel() for name, _ in _SHAPES]
-        )
-
     @classmethod
     def unpack(cls, flat) -> "PredictorWeights":
         flat = np.asarray(flat, dtype=np.float64)
         if flat.shape != (PARAM_COUNT,):
             raise ValueError(f"expected {PARAM_COUNT} parameters, got {flat.shape}")
-        fields = {}
-        pos = 0
-        for name, shape in _SHAPES:
-            size = int(np.prod(shape))
-            fields[name] = flat[pos : pos + size].reshape(shape)
-            pos += size
-        return cls(**fields)
-
-
-def init_weights(rng: np.random.Generator) -> PredictorWeights:
-    """All 673 parameters drawn N(0, 0.1^2) in packing order."""
-    return PredictorWeights.unpack(rng.normal(0.0, 0.1, PARAM_COUNT))
+        ends = np.cumsum([int(np.prod(s)) for s in _SHAPES])
+        parts = np.split(flat, ends[:-1])
+        return cls(*(part.reshape(shape) for part, shape in zip(parts, _SHAPES)))
 
 
 def _im2col(x):
@@ -202,7 +187,7 @@ def accuracy(predictions, labels) -> float:
 
 @dataclass
 class TrainResult:
-    weights: PredictorWeights
+    params: np.ndarray  # the trained (673,) vector
     val_accuracy: float
     single_class_train: bool
     n_train: int
@@ -216,8 +201,6 @@ def train(
     epochs: int,
     seed,
     split: float = 0.75,
-    lr: float = 0.05,
-    momentum: float = 0.9,
     batch_size: int = 16,
 ) -> TrainResult:
     """SGD-with-momentum training on a shuffled train/validation split.
@@ -241,7 +224,7 @@ def train(
     train_idx, val_idx = perm[:n_train], perm[n_train:]
     single_class = len(np.unique(y[train_idx])) < 2
 
-    flat = rng.normal(0.0, 0.1, PARAM_COUNT)  # init_weights(rng).pack()
+    flat = rng.normal(0.0, 0.1, PARAM_COUNT)
     w = PredictorWeights.unpack(flat)  # views: the in-place steps move w too
     velocity = np.zeros_like(flat)
     cols, y_train = _im2col(x[train_idx][..., None]), y[train_idx]
@@ -250,10 +233,11 @@ def train(
         for lo in range(0, n_train, batch_size):
             batch = order[lo : lo + batch_size]
             _, g = loss_and_grads(w, cols[batch], y_train[batch])
-            velocity *= momentum
-            velocity -= lr * g
+            velocity *= MOMENTUM
+            velocity -= LEARNING_RATE * g
             flat += velocity
 
-    weights = PredictorWeights.unpack(flat)  # fails loudly if training diverged
-    val_acc = accuracy(predict_batch(weights, x[val_idx]), y[val_idx] > 0.5)
-    return TrainResult(weights, val_acc, single_class, n_train, m - n_train)
+    if not np.all(np.isfinite(flat)):
+        raise ValueError("training diverged: the weights are not finite")
+    val_acc = accuracy(predict_batch(w, x[val_idx]), y[val_idx] > 0.5)
+    return TrainResult(flat, val_acc, single_class, n_train, m - n_train)

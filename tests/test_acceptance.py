@@ -26,7 +26,7 @@ from cellevo.halting import (
 )
 from cellevo.metrics import compute_metrics
 from cellevo.patterns import evolve_patterns
-from cellevo.predictor import PARAM_COUNT, init_weights, loss_and_grads
+from cellevo.predictor import PARAM_COUNT, PredictorWeights, loss_and_grads
 from cellevo.rules import (
     GrowthBump,
     KernelSpec,
@@ -87,11 +87,10 @@ def test_criterion_03_growth_closed_form_at_one_sigma_offset():
 
 def test_criterion_04_analytic_gradients_match_finite_differences():
     rng = np.random.default_rng(7)
-    weights = init_weights(rng)
+    flat = rng.normal(0.0, 0.1, PARAM_COUNT)
     grids = rng.random((8, 32, 32))
     labels = np.arange(8) % 2 == 0
-    _, grads = loss_and_grads(weights, grids, labels)
-    flat = weights.pack()
+    _, grads = loss_and_grads(PredictorWeights.unpack(flat), grids, labels)
     eps = 1e-5
     # conv1 occupies [0, 80), conv2 [80, 664), dense [664, 673)
     layer_spans = [(0, 80), (80, 664), (664, PARAM_COUNT)]
@@ -100,8 +99,6 @@ def test_criterion_04_analytic_gradients_match_finite_differences():
         for lo, hi in layer_spans
     ])
     assert len(coords) >= 20
-    from cellevo.predictor import PredictorWeights
-
     for idx in coords:
         bumped = flat.copy()
         bumped[idx] += eps

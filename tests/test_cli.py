@@ -501,6 +501,20 @@ def test_evolve_ca_setting_is_usage_error(tmp_path, flags, field, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    [*EVOLVE_CA, "--grid-side", "-2"],
+    [*EVOLVE_CA, "--grid-side", "0"],
+    ["metrics", "--grid-side", "-2"],
+    ["metrics", "--grid-side", "0"],
+], ids=["evolve-ca=-2", "evolve-ca=0", "metrics=-2", "metrics=0"])
+def test_non_positive_grid_side_is_named(tmp_path, argv, capsys):
+    # Checked before patch_side, whose range depends on it.
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("cellevo: error: grid_side")
+    assert not out.exists()
+
+
 def test_predictor_split_leaving_an_empty_set_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"fitness": {"split": 0.1}}))

@@ -23,11 +23,22 @@ from cellevo.halting import (
     predictor_fitness_from_dataset,
     simple_fitness,
     squash_genome,
-    unsquash_genome,
 )
 from cellevo.rules import GrowthBump, KernelSpec, RuleParams, run
 
 SMALL_KERNEL = KernelSpec(radius=5, ring_weights=(1.0,))
+
+
+def unsquash_genome(params) -> np.ndarray:
+    """Inverse of squash_genome; bounded values must lie strictly inside."""
+    p = np.asarray(params, dtype=np.float64)
+    if p.shape != (halting.GENOME_DIM,):
+        raise ValueError(f"genome must have {halting.GENOME_DIM} entries")
+    unit = p.copy()
+    unit[1::2] = (p[1::2] - SIGMA_LO) / (SIGMA_HI - SIGMA_LO)
+    if np.any(unit <= 0.0) or np.any(unit >= 1.0):
+        raise ValueError("parameters must lie strictly inside the squash bounds")
+    return halting._logit(unit)
 
 
 def lenia(mu, sigma, dt=0.1):

@@ -10,11 +10,19 @@ from cellevo.predictor import (
     PARAM_COUNT,
     PredictorWeights,
     accuracy,
-    init_weights,
     loss_and_grads,
     predict_batch,
     train,
 )
+
+
+def init_weights(rng):
+    """All 673 parameters drawn N(0, 0.1^2) in packing order, as `train` draws them."""
+    return PredictorWeights.unpack(rng.normal(0.0, 0.1, PARAM_COUNT))
+
+
+def pack(w):
+    return np.concatenate([np.ravel(layer) for layer in w])
 
 
 def predict(w, grid):
@@ -56,27 +64,23 @@ def loop_forward(w: PredictorWeights, grid):
 class TestShapes:
     def test_param_count(self):
         assert PARAM_COUNT == 673
-        assert init_weights(np.random.default_rng(0)).pack().shape == (673,)
+        assert pack(init_weights(np.random.default_rng(0))).shape == (673,)
 
     def test_pack_unpack_round_trip(self):
         flat = np.random.default_rng(3).normal(size=673)
         w = PredictorWeights.unpack(flat)
-        assert np.array_equal(w.pack(), flat)
+        assert np.array_equal(pack(w), flat)
+        assert all(np.shares_memory(layer, flat) for layer in w)
 
     def test_unpack_rejects_wrong_size(self):
         with pytest.raises(ValueError, match="673"):
             PredictorWeights.unpack(np.zeros(672))
 
     def test_init_distribution(self):
-        flat = init_weights(np.random.default_rng(123)).pack()
+        grids = np.random.default_rng(123).random((8, 32, 32))
+        flat = train(grids, np.arange(8) % 2, epochs=0, seed=123).params
         assert abs(flat.mean()) < 0.02
         assert flat.std() == pytest.approx(0.1, rel=0.15)
-
-    def test_rejects_non_finite(self):
-        flat = np.zeros(673)
-        flat[100] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            PredictorWeights.unpack(flat)
 
 
 class TestForward:
@@ -90,7 +94,7 @@ class TestForward:
         w = init_weights(rng)
         grid = rng.random((32, 32))
         p0 = predict(w, grid)
-        shifted = w.pack()
+        shifted = pack(w)
         shifted[-1] += 0.7
         p1 = predict(PredictorWeights.unpack(shifted), grid)
         logit0 = math.log(p0 / (1 - p0))
@@ -135,7 +139,7 @@ class TestGradients:
         x = rng.random((batch, 32, 32))
         y = rng.integers(0, 2, batch).astype(float)
         _, g = loss_and_grads(w, x, y)
-        flat = w.pack()
+        flat = pack(w)
         eps = 1e-5
         # Coordinates spanning conv1 (0..79), conv2 (80..663), dense (664..672).
         coords = [0, 11, 37, 72, 75, 101, 200, 333, 470, 599, 656, 660, 664, 668, 672]
@@ -156,7 +160,7 @@ class TestGradients:
         x = rng.random((8, 32, 32))
         y = rng.integers(0, 2, 8).astype(float)
         loss0, g = loss_and_grads(w, x, y)
-        stepped = PredictorWeights.unpack(w.pack() - 0.1 * g)
+        stepped = PredictorWeights.unpack(pack(w) - 0.1 * g)
         loss1, _ = loss_and_grads(stepped, x, y)
         assert loss1 < loss0
 
@@ -180,7 +184,7 @@ def per_batch_train(grids, labels, *, epochs, seed, batch_size, split=0.75,
     rng = substream(seed)
     n_train = int(len(x) * split)
     train_idx = rng.permutation(len(x))[:n_train]
-    flat = init_weights(rng).pack()
+    flat = rng.normal(0.0, 0.1, PARAM_COUNT)
     velocity = np.zeros_like(flat)
     for _ in range(epochs):
         order = train_idx[rng.permutation(n_train)]
@@ -203,7 +207,7 @@ class TestBitwiseFastPaths:
         got = train(grids, labels, epochs=2, seed=batch_size, batch_size=batch_size)
         expected = per_batch_train(grids, labels, epochs=2, seed=batch_size,
                                    batch_size=batch_size)
-        assert got.weights.pack().tobytes() == expected.tobytes()
+        assert got.params.tobytes() == expected.tobytes()
 
     def test_loss_and_grads_accepts_gathered_windows(self):
         rng = np.random.default_rng(41)
@@ -302,7 +306,7 @@ class TestTrain:
         rng = np.random.default_rng(2)
         grids, labels = self.linearly_separable(rng, m=16)
         res = train(grids, labels, epochs=0, seed=3)
-        preds = predict_batch(res.weights, grids)
+        preds = predict_batch(PredictorWeights.unpack(res.params), grids)
         assert 0.0 <= res.val_accuracy <= 1.0
         # Weights are the freshly initialized ones: re-derive and compare.
         assert np.all((preds > 0) & (preds < 1))
@@ -312,7 +316,7 @@ class TestTrain:
         grids, labels = self.linearly_separable(rng, m=32)
         a = train(grids, labels, epochs=3, seed=11)
         b = train(grids, labels, epochs=3, seed=11)
-        assert np.array_equal(a.weights.pack(), b.weights.pack())
+        assert np.array_equal(a.params, b.params)
         assert a.val_accuracy == b.val_accuracy
 
     def test_split_sizes(self):
@@ -327,6 +331,12 @@ class TestTrain:
         labels = np.ones(8, dtype=bool)
         res = train(grids, labels, epochs=1, seed=0)
         assert res.single_class_train
+
+    def test_train_rejects_non_finite_weights(self):
+        grids = np.random.default_rng(10).random((8, 32, 32))
+        grids[:, 5, 7] = np.nan  # one NaN cell per grid makes every gradient NaN
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            train(grids, np.arange(8) % 2, epochs=1, seed=0)
 
     def test_too_few_examples_rejected(self):
         with pytest.raises(ValueError, match="at least 4"):
