@@ -151,13 +151,8 @@ def _cmd_presets(args) -> int:
 
 def _cmd_simulate(args) -> int:
     rule = _resolve_rule(args)
-
-    def side_fits(cfg):
-        if cfg.side < 2 * rule.kernel.radius + 1:
-            raise ValueError(f"side {cfg.side} is below rule {rule.name}'s"
-                             f" kernel side {2 * rule.kernel.radius + 1}")
-
-    cfg, out = _setup(args, side_fits)
+    cfg, out = _setup(
+        args, lambda cfg: check_kernel_fits(rule.kernel.radius, cfg.side, "side"))
     rng = substream(args.seed, 0)
     if cfg.init == "patch":
         state = centered_patch_state(cfg.side, cfg.effective_patch, rng)

@@ -71,12 +71,11 @@ class Kernel:
         return self._spectra[key]
 
 
-def check_kernel_fits(radius: int, grid_side: int) -> None:
-    """Reject a grid side below the kernel side 2 * radius + 1."""
-    if grid_side < 2 * radius + 1:
-        raise ValueError(
-            f"kernel side {2 * radius + 1} does not fit grid_side {grid_side}"
-        )
+def check_kernel_fits(radius: int, side: int, field: str = "grid_side") -> None:
+    """Reject a grid side below the kernel side 2 * radius + 1; the message
+    names the setting `field` that gave the side."""
+    if side < 2 * radius + 1:
+        raise ValueError(f"kernel side {2 * radius + 1} does not fit {field} {side}")
 
 
 def convolve(state: np.ndarray, kernel: Kernel) -> np.ndarray:

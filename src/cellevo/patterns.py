@@ -1,15 +1,18 @@
 """Evolving seed patterns that travel: CPPN synthesis + truncation GA.
 
-A genome is a fixed-topology coordinate network (4 -> 12 -> 12 -> 1)
-with evolvable per-node activations. It paints a disc-masked tile from
-(x, y, r, 1) inputs; the tile is dropped into the center of a larger
-grid and simulated under a fixed rule. Fitness rewards net center-of-
-mass travel, lightly penalizes drift in total mass, and hard-penalizes
-dying out. Selection is plain truncation with mutation-only refill.
+A genome is a fixed-topology coordinate network (4 -> 12 -> 12 -> 1):
+one vector of its 229 weights plus 24 activation indices, one per hidden
+node. It paints a disc-masked tile from (x, y, r, 1) inputs; the tile is
+dropped into the center of a larger grid and simulated under a fixed
+rule. Fitness rewards net center-of-mass travel, lightly penalizes drift
+in total mass, and hard-penalizes dying out. Selection is plain
+truncation with mutation-only refill; initial genome i comes from the
+(seed, 0, i) stream.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,106 +28,73 @@ ACTIVATIONS = {
     "tanh": np.tanh,
     "identity": lambda z: z,
 }
-ACT_NAMES = tuple(ACTIVATIONS)  # fixed order: RNG draws index into this
+ACT_NAMES = tuple(ACTIVATIONS)  # fixed order: `acts` indexes into this
 N_INPUTS = 4
 N_HIDDEN = 12
 
-_LAYOUT = (
-    ("w1", (N_HIDDEN, N_INPUTS)),
-    ("b1", (N_HIDDEN,)),
-    ("w2", (N_HIDDEN, N_HIDDEN)),
-    ("b2", (N_HIDDEN,)),
-    ("w3", (N_HIDDEN,)),
-    ("b3", ()),
-)
+# Layer shapes in packing order: w1, b1, w2, b2, w3, b3.
+_SHAPES = ((N_HIDDEN, N_INPUTS), (N_HIDDEN,), (N_HIDDEN, N_HIDDEN), (N_HIDDEN,),
+           (N_HIDDEN,), ())
+PARAM_COUNT = sum(int(np.prod(s)) for s in _SHAPES)  # 229
 
 
-@dataclass(frozen=True)
-class CppnGenome:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    w3: np.ndarray
-    b3: np.ndarray
-    acts1: tuple[str, ...]
-    acts2: tuple[str, ...]
+class CppnGenome(NamedTuple):
+    """One flat weight vector and the two hidden layers' activations.
 
-    def __post_init__(self):
-        for name, shape in _LAYOUT:
-            arr = np.array(getattr(self, name), dtype=np.float64)
-            if arr.shape != shape:
-                raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        for field in ("acts1", "acts2"):
-            tags = tuple(getattr(self, field))
-            if len(tags) != N_HIDDEN:
-                raise ValueError(f"{field} must list {N_HIDDEN} activation tags")
-            for tag in tags:
-                if tag not in ACTIVATIONS:
-                    raise ValueError(f"unknown activation {tag!r}")
-            object.__setattr__(self, field, tags)
+    `params` holds the (PARAM_COUNT,) weights in the order of `_SHAPES`;
+    `acts` is a (2, N_HIDDEN) integer array of indices into ACT_NAMES.
+    """
+
+    params: np.ndarray
+    acts: np.ndarray
+
+    def layers(self) -> tuple[np.ndarray, ...]:
+        """(w1, b1, w2, b2, w3, b3) as reshaped views of `params`."""
+        ends = np.cumsum([int(np.prod(s)) for s in _SHAPES])
+        parts = np.split(self.params, ends[:-1])
+        return tuple(part.reshape(shape) for part, shape in zip(parts, _SHAPES))
 
 
 def random_genome(rng: np.random.Generator) -> CppnGenome:
-    """Standard-normal weights, uniformly drawn activation tags.
+    """Standard-normal weights, uniformly drawn activation indices.
 
-    Draw order is fixed (w1, b1, acts1, w2, b2, acts2, w3, b3) so a given
-    stream always produces the same genome.
+    Draw order is fixed (w1 and b1, acts1, w2 and b2, acts2, w3 and b3) so
+    a given stream always produces the same genome.
     """
-    w1 = rng.standard_normal((N_HIDDEN, N_INPUTS))
-    b1 = rng.standard_normal(N_HIDDEN)
-    acts1 = tuple(ACT_NAMES[i] for i in rng.integers(0, len(ACT_NAMES), N_HIDDEN))
-    w2 = rng.standard_normal((N_HIDDEN, N_HIDDEN))
-    b2 = rng.standard_normal(N_HIDDEN)
-    acts2 = tuple(ACT_NAMES[i] for i in rng.integers(0, len(ACT_NAMES), N_HIDDEN))
-    w3 = rng.standard_normal(N_HIDDEN)
-    b3 = rng.standard_normal()
-    return CppnGenome(w1, b1, w2, b2, w3, np.asarray(b3), acts1, acts2)
+    h, n_acts = N_HIDDEN, len(ACT_NAMES)
+    layer1, acts1 = rng.standard_normal(h * N_INPUTS + h), rng.integers(0, n_acts, h)
+    layer2, acts2 = rng.standard_normal(h * h + h), rng.integers(0, n_acts, h)
+    params = np.concatenate([layer1, layer2, rng.standard_normal(h + 1)])
+    return CppnGenome(params, np.stack([acts1, acts2]))
 
 
-def mutate(
-    genome: CppnGenome,
-    rng: np.random.Generator,
-    weight_std: float = 0.1,
-    act_prob: float = 0.05,
-) -> CppnGenome:
-    """Gaussian noise on every weight; each node resamples its tag with prob p."""
-    arrays = {
-        name: getattr(genome, name) + rng.normal(0.0, weight_std, shape)
-        for name, shape in _LAYOUT
-    }
-
-    def flip(tags):
-        return tuple(
-            ACT_NAMES[rng.integers(0, len(ACT_NAMES))]
-            if rng.random() < act_prob
-            else tag
-            for tag in tags
-        )
-
-    return CppnGenome(**arrays, acts1=flip(genome.acts1), acts2=flip(genome.acts2))
+def mutate(genome: CppnGenome, rng: np.random.Generator, weight_std: float,
+           act_prob: float) -> CppnGenome:
+    """Gaussian noise on every weight, then each node redraws its activation
+    with probability act_prob, in `acts.flat` order."""
+    params = genome.params + rng.normal(0.0, weight_std, PARAM_COUNT)
+    acts = genome.acts.copy()
+    for j in range(acts.size):
+        if rng.random() < act_prob:
+            acts.flat[j] = rng.integers(0, len(ACT_NAMES))
+    return CppnGenome(params, acts)
 
 
 def synthesize(genome: CppnGenome, side: int) -> np.ndarray:
     """Evaluate the network over the tile; zero outside the inscribed disc."""
     if side < 3:
         raise ValueError("tile side must be at least 3")
+    w1, b1, w2, b2, w3, b3 = genome.layers()
     coords = np.linspace(-1.0, 1.0, side)
     x = np.broadcast_to(coords[None, :], (side, side))
     y = np.broadcast_to(coords[:, None], (side, side))
     r = np.hypot(x, y)
-    inp = np.stack([x, y, r, np.ones_like(x)], axis=-1)
-    h1 = inp @ genome.w1.T + genome.b1
-    for j, tag in enumerate(genome.acts1):
-        h1[..., j] = ACTIVATIONS[tag](h1[..., j])
-    h2 = h1 @ genome.w2.T + genome.b2
-    for j, tag in enumerate(genome.acts2):
-        h2[..., j] = ACTIVATIONS[tag](h2[..., j])
-    out = sigmoid(h2 @ genome.w3 + genome.b3)
+    h = np.stack([x, y, r, np.ones_like(x)], axis=-1)  # the inputs
+    for w, b, acts in ((w1, b1, genome.acts[0]), (w2, b2, genome.acts[1])):
+        h = h @ w.T + b
+        for j, a in enumerate(acts):
+            h[..., j] = ACTIVATIONS[ACT_NAMES[a]](h[..., j])
+    out = sigmoid(h @ w3 + b3)
     out[r > 1.0] = 0.0
     return out
 
@@ -217,7 +187,6 @@ def evaluate_tiles(
 
 @dataclass
 class PatternEvoResult:
-    best_genome: CppnGenome
     best_tile: np.ndarray
     best_fitness: PatternFitness
     history: list[dict]
@@ -315,6 +284,5 @@ def evolve_patterns(
     history, evaluations = run_search(ga, cfg.generations, evaluate, record,
                                       min(workers, cfg.population))
     best = max(range(cfg.population), key=lambda i: ga.fitnesses[i].total)
-    genome, fitness = ga.population[best], ga.fitnesses[best]
-    return PatternEvoResult(genome, synthesize(genome, tile_side), fitness, history,
-                            evaluations)
+    return PatternEvoResult(synthesize(ga.population[best], tile_side),
+                            ga.fitnesses[best], history, evaluations)

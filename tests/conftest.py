@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import cellevo.rules
+from cellevo.patterns import ACT_NAMES, PatternFitness, _com_batch, _wrap_delta
 
 
 def shift_add_convolve(state, kernel):
@@ -145,3 +146,90 @@ def loop_center_of_mass(grid):
         return (n / (2.0 * math.pi)) * math.atan2(s, c) % n
 
     return (one_axis(grid.sum(axis=1), h), one_axis(grid.sum(axis=0), w))
+
+
+LOOP_ACTIVATIONS = {
+    "sine": math.sin,
+    "gaussian": lambda z: math.exp(-z * z),
+    "tanh": math.tanh,
+    "identity": lambda z: z,
+}
+
+
+def loop_synthesize(layers, acts, side):
+    """CPPN tile cell by cell from named layers (w1, b1, w2, b2, w3, b3) and
+    (2, 12) activation indices into ACT_NAMES; zero outside the unit disc."""
+    w1, b1, w2, b2, w3, b3 = layers
+    tile = np.zeros((side, side))
+    for i in range(side):
+        for j in range(side):
+            x = -1.0 + 2.0 * j / (side - 1)
+            y = -1.0 + 2.0 * i / (side - 1)
+            r = math.hypot(x, y)
+            if r > 1.0:
+                continue
+            h = [x, y, r, 1.0]
+            for w, b, row in ((w1, b1, acts[0]), (w2, b2, acts[1])):
+                h = [
+                    LOOP_ACTIVATIONS[ACT_NAMES[row[k]]](
+                        sum(w[k][m] * h[m] for m in range(len(h))) + b[k]
+                    )
+                    for k in range(len(b))
+                ]
+            z = sum(w3[k] * h[k] for k in range(len(h))) + float(b3)
+            tile[i, j] = 1.0 / (1.0 + math.exp(-z))
+    return tile
+
+
+def plain_trajectory(grids, rule, steps):
+    """States 0..steps as a list of (N, H, W) arrays. Each grid is stepped
+    alone by `cellevo.rules.step`, and none is ever retired."""
+    paths = []
+    for grid in np.asarray(grids, dtype=np.float64):
+        path = [grid]
+        for _ in range(steps):
+            path.append(cellevo.rules.step(path[-1], rule))
+        paths.append(path)
+    return [np.stack(states) for states in zip(*paths)]
+
+
+def reference_metrics(states, cfg):
+    """`compute_metrics`' (fertility, mortality) from plain states 0..2 * window,
+    grid by grid: escape is any cell outside the centered box above 0.01, and
+    a grid is quiescent when its max is at most 1e-6."""
+    n, h, w = states[0].shape
+    outside = np.ones((h, w), dtype=bool)
+    r0, c0 = (h - cfg.box_side) // 2, (w - cfg.box_side) // 2
+    outside[r0 : r0 + cfg.box_side, c0 : c0 + cfg.box_side] = False
+    fert, mort = [0, 0], [0, 0]
+    for i in range(n):
+        for k in range(2):
+            window = range(k * cfg.window + 1, (k + 1) * cfg.window + 1)
+            fert[k] += any((states[t][i][outside] > 0.01).any() for t in window)
+            mort[k] += states[(k + 1) * cfg.window][i].max() <= 1e-6
+    return (fert[0] / n, fert[1] / n), (mort[0] / n, mort[1] / n)
+
+
+def reference_tile_fitness(states, cfg):
+    """`evaluate_tiles`' results from plain states 0..cfg.steps, grid by grid,
+    with the same formulas and the same checkpoints."""
+    results = []
+    for i in range(states[0].shape[0]):
+        path = [s[i : i + 1] for s in states]
+        com_prev = _com_batch(path[0])
+        net = np.zeros((1, 2))
+        survived = True
+        for t in range(1, cfg.steps + 1):
+            if t % cfg.stride and t != cfg.steps:
+                continue
+            com = _com_batch(path[t])
+            net += _wrap_delta(com - com_prev, cfg.grid_side)
+            com_prev = com
+            survived = survived and path[t].max() > cfg.survival_threshold
+        mean0 = path[0].mean(axis=(1, 2))[0]
+        homeo = np.abs(path[-1].mean(axis=(1, 2))[0] - mean0) / np.maximum(mean0, 1e-12)
+        motility = np.hypot(net[0, 0], net[0, 1])
+        total = motility - cfg.lambda_homeo * homeo if survived else -1000.0
+        results.append(PatternFitness(float(motility), float(homeo), bool(survived),
+                                      float(total)))
+    return results

@@ -11,7 +11,8 @@ from cellevo.metrics import (
     _outside_max,
     compute_metrics,
 )
-from cellevo.rules import GrowthBump, KernelSpec, RuleParams, load_preset, step
+from cellevo.rules import GrowthBump, KernelSpec, RuleParams, load_preset
+from conftest import plain_trajectory, reference_metrics
 
 SMALL_KERNEL = KernelSpec(radius=3, ring_weights=(1.0,))
 
@@ -28,23 +29,6 @@ TINY = MetricsConfig(n_grids=8, grid_side=32, patch_side=8, box_side=16, window=
 def escaped(grid, box_side):
     """True if any cell strictly outside the centered box exceeds 0.01."""
     return bool(_outside_max(grid[None], box_side)[0] > ESCAPE_THRESHOLD)
-
-
-def reference_metrics(rule, cfg, seed):
-    """Grid-at-a-time reimplementation with no batching or early exits."""
-    fert = [0, 0]
-    mort = [0, 0]
-    for i in range(cfg.n_grids):
-        state = centered_patch_state(cfg.grid_side, cfg.patch_side, substream(seed, i))
-        for w in range(2):
-            hit = False
-            for _ in range(cfg.window):
-                state = step(state, rule)
-                hit = hit or escaped(state, cfg.box_side)
-            fert[w] += hit
-            mort[w] += state.max() <= 1e-6
-    n = cfg.n_grids
-    return (fert[0] / n, fert[1] / n), (mort[0] / n, mort[1] / n)
 
 
 class TestEscaped:
@@ -142,8 +126,11 @@ class TestComputeMetrics:
         )
         reps = [compute_metrics(rule, cfg, seed=3) for rule in rules]
         request.getfixturevalue("shift_add")  # the reference convolves exactly
+        grids = [centered_patch_state(cfg.grid_side, cfg.patch_side, substream(3, i))
+                 for i in range(cfg.n_grids)]
         for rule, rep in zip(rules, reps):
-            fert, mort = reference_metrics(rule, cfg, seed=3)
+            states = plain_trajectory(grids, rule, 2 * cfg.window)
+            fert, mort = reference_metrics(states, cfg)
             assert rep.fertility == fert
             assert rep.mortality == mort
 

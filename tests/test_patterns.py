@@ -5,9 +5,12 @@ import pytest
 import cellevo.patterns as patterns
 import cellevo.rules as rules
 from cellevo.config import PatternEvoConfig
+from cellevo.grid import place_centered
 from cellevo.patterns import (
     ACT_NAMES,
     CppnGenome,
+    PatternFitness,
+    TruncationGA,
     check_tile,
     evaluate_tiles,
     evolve_patterns,
@@ -16,7 +19,12 @@ from cellevo.patterns import (
     synthesize,
 )
 from cellevo.rules import GrowthBump, KernelSpec, RuleParams, load_preset
-from conftest import loop_center_of_mass
+from conftest import (
+    loop_center_of_mass,
+    loop_synthesize,
+    plain_trajectory,
+    reference_tile_fitness,
+)
 
 SMALL_KERNEL = KernelSpec(radius=3, ring_weights=(1.0,))
 SMALL_RULE = RuleParams(
@@ -50,54 +58,83 @@ def shift_right(monkeypatch):
     monkeypatch.setattr(rules, "step", lambda s, rule: np.roll(s, 1, axis=-1))
 
 
+def pack(w1, b1, w2, b2, w3, b3, acts):
+    """A genome from named layers and (2, 12) activation indices."""
+    params = np.concatenate([np.ravel(w) for w in (w1, b1, w2, b2, w3, b3)])
+    return CppnGenome(params, np.asarray(acts))
+
+
 def zero_weight_genome():
-    return CppnGenome(
+    return pack(
         np.zeros((12, 4)), np.zeros(12), np.zeros((12, 12)), np.zeros(12),
-        np.zeros(12), np.asarray(0.0),
-        ("identity",) * 12, ("identity",) * 12,
+        np.zeros(12), 0.0, np.full((2, 12), ACT_NAMES.index("identity")),
     )
+
+
+def same_genome(a, b):
+    return np.array_equal(a.params, b.params) and np.array_equal(a.acts, b.acts)
 
 
 class TestGenome:
     def test_random_genome_deterministic(self):
         a = random_genome(np.random.default_rng(4))
         b = random_genome(np.random.default_rng(4))
-        assert np.array_equal(a.w1, b.w1)
-        assert np.array_equal(a.w2, b.w2)
-        assert a.acts1 == b.acts1 and a.acts2 == b.acts2
+        assert np.array_equal(a.layers()[0], b.layers()[0])
+        assert np.array_equal(a.layers()[2], b.layers()[2])
+        assert np.array_equal(a.acts, b.acts)
 
-    def test_validates_shapes(self):
-        with pytest.raises(ValueError, match="w1"):
-            CppnGenome(
-                np.zeros((12, 3)), np.zeros(12), np.zeros((12, 12)), np.zeros(12),
-                np.zeros(12), np.asarray(0.0),
-                ("identity",) * 12, ("identity",) * 12,
-            )
+    def test_random_genome_draw_order(self):
+        # The documented order, one draw per layer: w1, b1, acts1, w2, b2,
+        # acts2, w3, b3. A vector sliced in another order fails here.
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            w1, b1 = rng.standard_normal((12, 4)), rng.standard_normal(12)
+            acts1 = rng.integers(0, len(ACT_NAMES), 12)
+            w2, b2 = rng.standard_normal((12, 12)), rng.standard_normal(12)
+            acts2 = rng.integers(0, len(ACT_NAMES), 12)
+            w3, b3 = rng.standard_normal(12), rng.standard_normal()
+            g = random_genome(np.random.default_rng(seed))
+            for got, want in zip(g.layers(), (w1, b1, w2, b2, w3, b3)):
+                assert got.shape == np.shape(want)
+                assert np.array_equal(got, want)
+            assert np.array_equal(g.acts, np.stack([acts1, acts2]))
 
-    def test_validates_activation_tags(self):
-        with pytest.raises(ValueError, match="activation"):
-            CppnGenome(
-                np.zeros((12, 4)), np.zeros(12), np.zeros((12, 12)), np.zeros(12),
-                np.zeros(12), np.asarray(0.0),
-                ("relu",) * 12, ("identity",) * 12,
-            )
+    def test_layers_are_views_of_params(self):
+        g = random_genome(np.random.default_rng(6))
+        assert g.params.shape == (229,) and g.acts.shape == (2, 12)
+        assert all(np.shares_memory(layer, g.params) for layer in g.layers())
 
     def test_mutate_deterministic_and_small(self):
         g = random_genome(np.random.default_rng(0))
         a = mutate(g, np.random.default_rng(3), weight_std=0.1, act_prob=0.05)
         b = mutate(g, np.random.default_rng(3), weight_std=0.1, act_prob=0.05)
-        assert np.array_equal(a.w2, b.w2)
-        assert a.acts1 == b.acts1
+        assert np.array_equal(a.layers()[2], b.layers()[2])
+        assert np.array_equal(a.acts[0], b.acts[0])
         # Perturbation magnitude on the order of the std, not larger.
-        assert 0.0 < np.abs(a.w2 - g.w2).max() < 0.6
+        assert 0.0 < np.abs(a.layers()[2] - g.layers()[2]).max() < 0.6
+
+    def test_mutate_draws_noise_before_flips(self):
+        g = random_genome(np.random.default_rng(0))
+        before = g.params.copy(), g.acts.copy()
+        rng = np.random.default_rng(5)
+        params = g.params + rng.normal(0.0, 0.1, g.params.size)
+        acts = g.acts.copy()
+        for j in range(acts.size):
+            if rng.random() < 0.5:
+                acts.flat[j] = rng.integers(0, len(ACT_NAMES))
+        got = mutate(g, np.random.default_rng(5), 0.1, 0.5)
+        assert np.array_equal(got.params, params)
+        assert np.array_equal(got.acts, acts)
+        assert not np.array_equal(acts, g.acts)  # some node did redraw
+        assert np.array_equal(g.params, before[0]) and np.array_equal(g.acts, before[1])
 
     def test_mutate_act_prob_extremes(self):
         g = zero_weight_genome()
-        same = mutate(g, np.random.default_rng(1), act_prob=0.0)
-        assert same.acts1 == g.acts1 and same.acts2 == g.acts2
-        # With prob 1 every node resamples; tags remain in the allowed set.
-        flipped = mutate(g, np.random.default_rng(1), act_prob=1.0)
-        assert all(t in ACT_NAMES for t in flipped.acts1 + flipped.acts2)
+        same = mutate(g, np.random.default_rng(1), weight_std=0.1, act_prob=0.0)
+        assert np.array_equal(same.acts, g.acts)
+        # With prob 1 every node resamples; indices remain in the allowed set.
+        flipped = mutate(g, np.random.default_rng(1), weight_std=0.1, act_prob=1.0)
+        assert all(0 <= a < len(ACT_NAMES) for a in flipped.acts.flat)
 
 
 class TestSynthesize:
@@ -122,12 +159,17 @@ class TestSynthesize:
 
     def test_mirror_symmetry_when_x_ignored(self):
         g = random_genome(np.random.default_rng(2))
-        sym = CppnGenome(
-            g.w1 * np.array([0.0, 1.0, 1.0, 1.0]), g.b1, g.w2, g.b2, g.w3,
-            g.b3, g.acts1, g.acts2,
-        )
+        w1, b1, w2, b2, w3, b3 = g.layers()
+        sym = pack(w1 * np.array([0.0, 1.0, 1.0, 1.0]), b1, w2, b2, w3, b3, g.acts)
         tile = synthesize(sym, 17)
         assert np.allclose(tile, tile[:, ::-1], atol=1e-12)
+
+    @pytest.mark.parametrize("side", [9, 16, 21])
+    def test_matches_loop_oracle(self, side):
+        genomes = [random_genome(np.random.default_rng(s)) for s in range(5)]
+        for g in [zero_weight_genome(), *genomes]:
+            want = loop_synthesize(g.layers(), g.acts, side)
+            assert np.abs(synthesize(g, side) - want).max() <= 1e-12
 
     def test_rejects_tiny_side(self):
         with pytest.raises(ValueError, match="side"):
@@ -236,15 +278,16 @@ class TestEvaluate:
         for tile, copy in zip(tiles, before):
             assert np.array_equal(tile, copy) and tile.flags.writeable
 
-    def test_dead_drop_matches_reference_loop(self, monkeypatch):
+    def test_dead_drop_matches_reference_loop(self):
         # Straight simulation without the early-exit bookkeeping. The uniform
         # tile is exactly 0 after one step, so it retires ahead of survivors.
         rng = np.random.default_rng(9)
         tiles = [np.full((12, 12), 0.05), *(rng.random((12, 12)) for _ in range(3))]
         cfg = PatternEvoConfig(grid_side=32, tile_side=12, steps=16, stride=4)
         fast = evaluate_tiles(tiles, SMALL_RULE, cfg)
-        monkeypatch.setattr(RuleParams, "zero_is_absorbing", lambda self: False)
-        plain = evaluate_tiles(tiles, SMALL_RULE, cfg)
+        start = np.stack([place_centered(cfg.grid_side, t) for t in tiles])
+        states = plain_trajectory(start, SMALL_RULE, cfg.steps)
+        plain = reference_tile_fitness(states, cfg)
         assert fast == plain
 
 
@@ -281,6 +324,41 @@ class TestEvolvePatterns:
         b = evolve_patterns(SMALL_RULE, FAST_CFG, seed=5)
         assert a.history == b.history
         assert np.array_equal(a.best_tile, b.best_tile)
+
+    def test_genome_stream_layout(self, monkeypatch):
+        # Initial genome i comes from (seed, 0, i); offspring slot i of the
+        # g-th ask (counted from 1) from (seed, g, i): parent choice, then
+        # the mutation.
+        seed, real = 7, patterns.substream
+        paths = []
+
+        def spy(*path):
+            paths.append(path)
+            return real(*path)
+
+        monkeypatch.setattr(patterns, "substream", spy)
+        cfg = FAST_CFG
+        ga = TruncationGA(cfg, seed)
+        scores = np.random.default_rng(0).permutation(cfg.population * cfg.generations)
+        for g in range(1, cfg.generations + 1):
+            paths.clear()
+            genomes = ga.ask()
+            if g == 1:
+                slots = range(cfg.population)
+                want = [random_genome(real(seed, 0, i)) for i in slots]
+                assert paths == [(seed, 0, i) for i in slots]
+            else:
+                slots = range(ga.keep, cfg.population)
+                want = []
+                for i in slots:
+                    rng = real(seed, g, i)
+                    parent = ga.population[int(rng.integers(0, ga.keep))]
+                    want.append(mutate(parent, rng, cfg.weight_std, cfg.act_prob))
+                assert paths == [(seed, g, i) for i in slots]
+            assert len(genomes) == len(want)
+            assert all(same_genome(a, b) for a, b in zip(genomes, want))
+            totals, scores = scores[: len(genomes)], scores[len(genomes) :]
+            ga.tell(genomes, [PatternFitness(0.0, 0.0, True, float(t)) for t in totals])
 
     def test_workers_do_not_change_results(self):
         one = evolve_patterns(SMALL_RULE, FAST_CFG, seed=3, workers=1)
