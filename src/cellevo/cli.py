@@ -19,8 +19,7 @@ from .config import (
     SimulateConfig,
     load_config_file,
 )
-from .grid import (centered_patch_state, check_kernel_fits, place_centered,
-                   substream)
+from .grid import place_centered, seeded_patches, substream
 from .halting import MODES, check_mode, evolve_rules
 from .io import (
     load_pattern,
@@ -35,7 +34,7 @@ from .io import (
 )
 from .metrics import CSV_HEADER, compute_metrics
 from .patterns import check_tile, evolve_patterns, random_genome, synthesize
-from .rules import load_preset, preset_names, run
+from .rules import check_kernel, load_preset, preset_names, run
 
 
 class _UsageError(Exception):
@@ -152,12 +151,10 @@ def _cmd_presets(args) -> int:
 def _cmd_simulate(args) -> int:
     rule = _resolve_rule(args)
     cfg, out = _setup(
-        args, lambda cfg: check_kernel_fits(rule.kernel.radius, cfg.side, "side"))
-    rng = substream(args.seed, 0)
-    if cfg.init == "patch":
-        state = centered_patch_state(cfg.side, cfg.effective_patch, rng)
-    else:
-        state = rng.random((cfg.side, cfg.side))
+        args, lambda cfg: check_kernel(rule.kernel, cfg.side, "side"))
+    # Grid 0 of a seeded batch; --init uniform is a patch as large as the grid.
+    patch = cfg.patch_side if cfg.init == "patch" else cfg.side
+    state = seeded_patches(1, cfg.side, patch, args.seed)[0]
 
     # A zero-step run writes no frames/ directory.
     every = cfg.frames_every if cfg.steps else 0
@@ -221,7 +218,7 @@ def _cmd_evolve_pattern(args) -> int:
 def _cmd_metrics(args) -> int:
     rule = _resolve_rule(args)
     cfg, out = _setup(
-        args, lambda cfg: check_kernel_fits(rule.kernel.radius, cfg.grid_side))
+        args, lambda cfg: check_kernel(rule.kernel, cfg.grid_side))
     report = compute_metrics(rule, cfg, args.seed)
     save_metrics(report, out / "metrics.json")
     save_metrics_csv([report], out / "metrics.csv")
@@ -242,7 +239,7 @@ def _cmd_render(args) -> int:
             tile = synthesize(random_genome(substream(args.seed, 0)),
                               4 * rule.kernel.radius)
             label = "demo"
-        check_kernel_fits(rule.kernel.radius, args.grid_side)
+        check_kernel(rule.kernel, args.grid_side)
         state = place_centered(args.grid_side, tile)
     writer = _FrameWriter(Path(args.out) / "frames")
     run(state, rule, args.steps, every=args.every, on_frame=writer)
@@ -328,22 +325,14 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"cellevo: error: {exc}", file=sys.stderr)
-        return 1
+        args = build_parser().parse_args(argv)
+        return args.handler(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return args.handler(args)
-    except _UsageError as exc:
-        print(f"cellevo: error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:
         print(f"cellevo: error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, _UsageError) else 2
 
 
 def entrypoint() -> None:

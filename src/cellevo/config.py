@@ -52,10 +52,6 @@ class SimulateConfig(_FromDict):
         if self.frames_every < 0:
             raise ValueError("frames_every must be nonnegative")
 
-    @property
-    def effective_patch(self) -> int:
-        return self.patch_side if self.patch_side else self.side // 2
-
 
 @dataclass(frozen=True)
 class HaltingFitnessConfig(_FromDict):

@@ -6,6 +6,9 @@ edges (torus) and is an FFT product: numpy's rfft2 and irfft2 split into
 their 1-D transforms (rows, columns, spectrum product, columns, rows), so
 the column passes work in place on one complex buffer. The tests check
 it against an exact shift-and-add sum.
+
+The random starting grids of simulate, the halting datasets and metrics
+all come from `seeded_patches`, which states their layout.
 """
 from __future__ import annotations
 
@@ -110,20 +113,15 @@ def block_mean(state: np.ndarray, out_side: int) -> np.ndarray:
     return shaped.mean(axis=(-3, -1))
 
 
-def centered_patch_state(
-    side: int, patch_side: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Zero grid with a centered patch_side^2 patch of U(0,1) cells.
-
-    The patch is filled row-major so the draw order is reproducible.
-    """
-    return place_centered(side, rng.random((patch_side, patch_side)))
-
-
 def seeded_patches(count: int, side: int, patch_side: int, seed) -> np.ndarray:
-    """Grids (count, side, side); grid i is a centered patch from stream (seed, i)."""
-    rngs = (substream(seed, i) for i in range(count))
-    return np.stack([centered_patch_state(side, patch_side, rng) for rng in rngs])
+    """A seeded starting batch: grids (count, side, side).
+
+    Grid i is place_centered(side, substream(seed, i).random((p, p))) with
+    p = patch_side, or side // 2 when patch_side is 0.
+    """
+    p = patch_side or side // 2
+    return np.stack([place_centered(side, substream(seed, i).random((p, p)))
+                     for i in range(count)])
 
 
 def place_centered(side: int, tile: np.ndarray) -> np.ndarray:

@@ -25,9 +25,10 @@ import numpy as np
 from . import predictor as pred
 from .cmaes import CmaEs, default_popsize
 from .config import EvolveCaConfig, HaltingFitnessConfig
-from .grid import check_kernel_fits, seed_path, seeded_patches, substream
+from .grid import seed_path, seeded_patches, substream
 from .parallel import run_search
-from .rules import GLABERISH, GrowthBump, KernelSpec, RuleParams, trajectory
+from .rules import (GLABERISH, GrowthBump, KernelSpec, RuleParams, check_kernel,
+                    trajectory)
 
 HALT_THRESHOLD = 1e-6
 SIGMA_LO = 0.001
@@ -55,11 +56,9 @@ def generate_dataset(rule: RuleParams, cfg: HaltingFitnessConfig,
                      seed) -> HaltingDataset:
     """Simulate cfg.n_grids seeded initial grids to cfg.horizon and label them.
 
-    Grid i draws its centered patch (side cfg.patch_side, or grid_side/2
-    when that is 0) from the (seed, i) stream.
+    Grid i is a centered patch from the (seed, i) stream; see `seeded_patches`.
     """
-    patch = cfg.patch_side or cfg.grid_side // 2
-    grids = seeded_patches(cfg.n_grids, cfg.grid_side, patch, seed)
+    grids = seeded_patches(cfg.n_grids, cfg.grid_side, cfg.patch_side, seed)
     for _, each in trajectory(grids, rule, cfg.horizon):
         pass
     labels = each(lambda w: w.max(axis=(-2, -1)) > HALT_THRESHOLD)
@@ -183,7 +182,7 @@ def check_mode(mode: str, cfg: EvolveCaConfig) -> None:
                 f"split {fitness.split} leaves an empty train or validation set"
                 f" of n_grids {fitness.n_grids}"
             )
-    check_kernel_fits(cfg.kernel.radius, fitness.grid_side)
+    check_kernel(cfg.kernel, fitness.grid_side)
 
 
 def _evaluate(args) -> float:

@@ -17,10 +17,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import PatternEvoConfig
-from .grid import check_kernel_fits, place_centered, substream
+from .grid import place_centered, substream
 from .parallel import run_search
 from .predictor import sigmoid
-from .rules import RuleParams, trajectory
+from .rules import RuleParams, check_kernel, trajectory
 
 ACTIVATIONS = {
     "sine": np.sin,
@@ -234,7 +234,7 @@ class TruncationGA:
 
 def check_tile(rule: RuleParams, cfg: PatternEvoConfig) -> int:
     """The tile side (0 means 4 * kernel radius), between 3 and grid_side."""
-    check_kernel_fits(rule.kernel.radius, cfg.grid_side)
+    check_kernel(rule.kernel, cfg.grid_side)
     tile_side = cfg.tile_side or 4 * rule.kernel.radius
     if tile_side < 3:
         raise ValueError(f"tile_side {tile_side} must be at least 3")

@@ -25,7 +25,7 @@ from typing import NamedTuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .grid import Kernel, convolve, radial_distances
+from .grid import Kernel, check_kernel_fits, convolve, radial_distances
 
 LENIA = "lenia"
 GLABERISH = "glaberish"
@@ -134,8 +134,18 @@ def build_kernel(spec: KernelSpec) -> Kernel:
     weights = np.where(r <= 1.0, amp * _core_profile(spec, q), 0.0)
     total = weights.sum()
     if total <= 0.0:
-        raise ValueError("degenerate kernel: weights sum to 0")
+        raise ValueError(
+            f"kernel weights sum to 0 at radius {spec.radius} with core"
+            f" {spec.core!r} and core_param {spec.core_param!r}")
     return Kernel(spec.radius, weights / total)
+
+
+def check_kernel(spec: KernelSpec, side: int, field: str = "grid_side") -> None:
+    """Refuse a kernel that does not fit the grid side `field`, then one whose
+    weights all come out 0; the fit check comes first, so no stencil larger
+    than the grid is built."""
+    check_kernel_fits(spec.radius, side, field)
+    build_kernel(spec)
 
 
 @dataclass(frozen=True)
@@ -334,10 +344,10 @@ _type_hints = lru_cache(maxsize=None)(get_type_hints)  # evaluated once per clas
 def json_value(value, hint, key: str, what: str):
     """Check one JSON value against field `key`'s annotation and convert it.
 
-    int takes an int only (not 2.0), float an int or a float, str a
-    string, tuple[X, ...] a list of X, and a dataclass an object, parsed
-    by `from_json` under the field's name. A union reads as its first
-    member, so `X | None` reads as X.
+    int takes an int only (not 2.0), float a float or an int within the
+    float range, str a string, tuple[X, ...] a list of X, and a dataclass
+    an object, parsed by `from_json` under the field's name. A union reads
+    as its first member, so `X | None` reads as X.
     """
     if get_origin(hint) in (Union, UnionType):
         hint = get_args(hint)[0]
@@ -350,7 +360,11 @@ def json_value(value, hint, key: str, what: str):
     else:
         types, expected = _JSON_SCALARS[hint]
         if isinstance(value, types) and not isinstance(value, bool):
-            return hint(value)
+            try:
+                return hint(value)
+            except OverflowError:  # an int beyond the float range
+                raise ValueError(f"{what} field {key!r} is too large for a"
+                                 " float") from None
     raise ValueError(
         f"{what} field {key!r} must be {expected}, got {json.dumps(value)}"
     )

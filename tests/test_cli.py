@@ -353,6 +353,21 @@ class TestStreamedFrames:
         assert frame_bytes(tmp_path / "frames") == step_loop_frames(
             state, load_preset("Orbium"), steps, every)
 
+    @pytest.mark.parametrize("flags, patch", [
+        ([], 32), (["--patch-side", "10"], 10), (["--patch-side", "64"], 64)],
+        ids=["half-side", "patch-side-10", "patch-side-64"])
+    def test_simulate_patch_is_grid_0_of_a_seeded_batch(self, tmp_path, flags,
+                                                        patch, capsys):
+        # p x p cells from stream (seed, 0), centered; p = side // 2 if unset.
+        # At p = 64 this is test_simulate's --init uniform grid.
+        argv = ["simulate", "--side", "64", "--init", "patch", "--seed", "5",
+                "--steps", "2", "--frames-every", "1", *flags,
+                "--out", str(tmp_path)]
+        assert main(argv) == 0
+        state = place_centered(64, substream(5, 0).random((patch, patch)))
+        assert frame_bytes(tmp_path / "frames") == step_loop_frames(
+            state, load_preset("Orbium"), 2, 1)
+
     def test_simulate_zero_steps_writes_no_frames(self, tmp_path, capsys):
         argv = ["simulate", "--side", "64", "--steps", "0", "--frames-every",
                 "2", "--out", str(tmp_path)]
@@ -601,6 +616,46 @@ def test_value_of_wrong_json_type_is_usage_error(tmp_path, option, data, field,
         argv = ["simulate", "--steps", "1", "--side", "32"]
     assert main([*argv, option, str(path), "--out", str(out)]) == 1
     assert f"{field!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+BIG = 10 ** 400  # an exact JSON integer beyond the range of a float
+
+
+@pytest.mark.parametrize("argv, data, named", [
+    ([*EVOLVE_CA, "--config"], {"sigma0": BIG},
+     "'sigma0' is too large for a float"),
+    ([*EVOLVE_CA, "--config"], {"fitness": {"split": BIG}},
+     "'split' is too large for a float"),
+    (["simulate", "--steps", "1", "--rule-file"],
+     _orbium_rule_with(lambda r: r["growth"].update(mu=BIG)),
+     "'mu' is too large for a float"),
+    (["render", "--steps", "1", "--pattern"],
+     {"name": "g", "rule": "Orbium", "height": 1, "width": 2,
+      "cells": [BIG, 0]}, "'cells' is too large for a float"),
+    ([*EVOLVE_CA, "--config"], {"kernel": {"radius": 1, "ring_weights": [1.0]}},
+     "radius 1 with core 'lenia_shell' and core_param 4.0"),
+    (["metrics", "--n-grids", "1", "--window", "1", "--rule-file"],
+     _orbium_rule_with(lambda r: r["kernel"].update(core="gaussian_ring",
+                                                    core_param=1e-06)),
+     "radius 13 with core 'gaussian_ring' and core_param 1e-06"),
+    # A stencil of side 2000001 would take 32 TB, so the fit check comes first.
+    ([*EVOLVE_CA, "--config"],
+     {"kernel": {"radius": 10 ** 6, "ring_weights": [1.0]}},
+     "kernel side 2000001 does not fit grid_side 40"),
+    (["simulate", "--steps", "1", "--rule-file"],
+     _orbium_rule_with(lambda r: r["kernel"].update(radius=10 ** 6)),
+     "kernel side 2000001 does not fit side 128"),
+], ids=["big-config", "big-config-section", "big-rule-file", "big-pattern",
+        "zero-kernel-config", "zero-kernel-rule-file", "huge-kernel-config",
+        "huge-kernel-rule-file"])
+def test_unusable_number_in_input_file_is_usage_error(tmp_path, argv, data,
+                                                      named, capsys):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main([*argv, str(path), "--out", str(out)]) == 1
+    assert named in capsys.readouterr().err
     assert not out.exists()
 
 

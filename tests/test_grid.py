@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from cellevo.grid import (
     Kernel,
     block_mean,
-    centered_patch_state,
     convolve,
     place_centered,
     radial_distances,
+    seeded_patches,
     substream,
 )
 from conftest import loop_convolve, shift_add_convolve
@@ -184,7 +184,7 @@ class TestHelpers:
         assert np.array_equal(out[2], block_mean(g[2], 4))
 
     def test_centered_patch(self):
-        state = centered_patch_state(16, 4, np.random.default_rng(0))
+        state = seeded_patches(1, 16, 4, 0)[0]
         assert state.shape == (16, 16)
         patch = state[6:10, 6:10]
         assert np.all(patch > 0) and np.all(patch < 1)
@@ -193,9 +193,19 @@ class TestHelpers:
         assert np.all(state[mask] == 0)
 
     def test_centered_patch_deterministic(self):
-        a = centered_patch_state(32, 8, np.random.default_rng(42))
-        b = centered_patch_state(32, 8, np.random.default_rng(42))
+        a = seeded_patches(3, 32, 8, 42)
+        b = seeded_patches(3, 32, 8, 42)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("side, patch_side, p", [
+        (16, 5, 5), (15, 0, 7), (16, 0, 8)])
+    def test_seeded_patch_layout(self, side, patch_side, p):
+        # Grid i is a centered p x p patch drawn row-major from stream
+        # (seed, i); patch_side 0 means p = side // 2.
+        grids = seeded_patches(3, side, patch_side, (7, 2))
+        for i, grid in enumerate(grids):
+            tile = substream((7, 2), i).random((p, p))
+            assert np.array_equal(grid, place_centered(side, tile))
 
     def test_place_centered(self):
         tile = np.ones((3, 3))

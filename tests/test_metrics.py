@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from cellevo.config import MetricsConfig
-from cellevo.grid import centered_patch_state, substream
+from cellevo.grid import place_centered, substream
 from cellevo.metrics import (
     CSV_HEADER,
     ESCAPE_THRESHOLD,
@@ -126,7 +126,8 @@ class TestComputeMetrics:
         )
         reps = [compute_metrics(rule, cfg, seed=3) for rule in rules]
         request.getfixturevalue("shift_add")  # the reference convolves exactly
-        grids = [centered_patch_state(cfg.grid_side, cfg.patch_side, substream(3, i))
+        p = cfg.patch_side
+        grids = [place_centered(cfg.grid_side, substream(3, i).random((p, p)))
                  for i in range(cfg.n_grids)]
         for rule, rep in zip(rules, reps):
             states = plain_trajectory(grids, rule, 2 * cfg.window)

@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cellevo.rules as rules
-from cellevo.grid import centered_patch_state, convolve
+from cellevo.grid import convolve, place_centered
 from cellevo.rules import (
     GrowthBump,
     KernelSpec,
     RuleParams,
     build_kernel,
+    check_kernel,
     growth_value,
     load_preset,
     preset_names,
@@ -196,6 +197,20 @@ class TestBuildKernel:
             KernelSpec(radius=3, ring_weights=(1.0, -0.1))
         with pytest.raises(ValueError, match="core"):
             KernelSpec(radius=3, ring_weights=(1.0,), core="box")
+
+    @pytest.mark.parametrize("radius, core, core_param", [
+        (1, "lenia_shell", 4.0),  # every cell sits at q = 0 or q = 1
+        (13, "gaussian_ring", 1e-06),  # exp underflows to 0 off the midline
+    ])
+    def test_check_kernel_rejects_weights_that_are_all_zero(self, radius, core,
+                                                            core_param):
+        spec = KernelSpec(radius=radius, ring_weights=(1.0,), core=core,
+                          core_param=core_param)
+        with pytest.raises(ValueError) as err:
+            check_kernel(spec, 64)
+        assert str(err.value) == (
+            f"kernel weights sum to 0 at radius {radius} with core {core!r}"
+            f" and core_param {core_param!r}")
 
 
 class TestStep:
@@ -381,7 +396,8 @@ class TestBlockedStep:
         sigma = 0.001 + 0.299 / (1.0 + math.exp(4.0))
         rule = glaberish_rule((0.5, sigma), (0.5, sigma), kernel=NATANS_KERNEL)
         rng = np.random.default_rng(16)
-        a = b = np.stack([centered_patch_state(64, 32, rng) for _ in range(3)])
+        a = b = np.stack([place_centered(64, rng.random((32, 32)))
+                          for _ in range(3)])
         for _ in range(20):
             a = step(a, rule)
             n = convolve(b, build_kernel(rule.kernel))
@@ -422,7 +438,7 @@ class TestRun:
     def test_final_matches_plain_loop_bitwise(self):
         rng = np.random.default_rng(15)
         batch = np.stack([
-            centered_patch_state(32, 8, rng),   # will die under decay-heavy rule
+            place_centered(32, rng.random((8, 8))),  # will die under decay-heavy rule
             np.zeros((32, 32)),                 # dead from the start
             rng.random((32, 32)),
         ])
@@ -465,7 +481,7 @@ class TestRun:
 
         rng = np.random.default_rng(15)
         batch = np.stack([
-            centered_patch_state(32, 8, rng),  # decays to exactly 0
+            place_centered(32, rng.random((8, 8))),  # decays to exactly 0
             np.zeros((32, 32)),
             np.ones((32, 32)),  # n = 1 sits on the growth peak
         ])
@@ -527,7 +543,8 @@ class TestRun:
 
     def test_partly_retired_batch_frames_match_plain_loop(self):
         rng = np.random.default_rng(15)
-        batch = np.stack([centered_patch_state(32, 8, rng), np.ones((32, 32))])
+        batch = np.stack([place_centered(32, rng.random((8, 8))),
+                          np.ones((32, 32))])
         rule = lenia_rule(1.0, 0.1)
         frames = run_frames(batch, rule, 20, every=5)
         state = batch
@@ -728,6 +745,13 @@ class TestJsonValue:
     )
     def test_accepts_and_converts(self, hint, value, expected):
         assert repr(rules.json_value(value, hint, "x", "section")) == expected
+
+    @pytest.mark.parametrize("hint", [float, tuple[float, ...]])
+    def test_integer_too_large_for_a_float_names_the_field(self, hint):
+        value = 10 ** 400 if hint is float else [0.5, 10 ** 400]
+        with pytest.raises(ValueError,
+                           match="section field 'x' is too large for a float"):
+            rules.json_value(value, hint, "x", "section")
 
     def test_dataclass_field_parses_under_its_name(self):
         with pytest.raises(ValueError, match="growth field 'sigma' must be"):
