@@ -25,7 +25,7 @@ from typing import NamedTuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .grid import Kernel, check_kernel_fits, convolve, radial_distances
+from .grid import Kernel, check_kernel_fits, convolve
 
 LENIA = "lenia"
 GLABERISH = "glaberish"
@@ -82,7 +82,7 @@ class KernelSpec:
 
     With B rings, a cell at relative radius r in [0, 1] lands in ring
     k = min(floor(B r), B - 1) at intra-ring position q = B r - k; its
-    unnormalized weight is ring_weights[k] * core(q).
+    unnormalized weight is ring_weights[k] / max(ring_weights) * core(q).
     """
 
     radius: int
@@ -124,13 +124,16 @@ def _core_profile(spec: KernelSpec, q: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def build_kernel(spec: KernelSpec) -> Kernel:
-    """Realize a KernelSpec as normalized weights on its (2R+1)^2 stencil."""
-    r = radial_distances(spec.radius) / spec.radius
+    """Realize a KernelSpec as nonnegative weights summing to 1 on its
+    (2R+1)^2 stencil, exactly 0 outside the disc. Ring weights are relative
+    amplitudes, divided by the largest, so their sum cannot overflow."""
+    ax = np.arange(-spec.radius, spec.radius + 1, dtype=np.float64)
+    r = np.hypot(ax[:, None], ax[None, :]) / spec.radius
     nrings = len(spec.ring_weights)
     u = nrings * r
     ring = np.minimum(np.floor(u), nrings - 1).astype(int)
     q = u - ring
-    amp = np.asarray(spec.ring_weights)[ring]
+    amp = (np.asarray(spec.ring_weights) / max(spec.ring_weights))[ring]
     weights = np.where(r <= 1.0, amp * _core_profile(spec, q), 0.0)
     total = weights.sum()
     if total <= 0.0:

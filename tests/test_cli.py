@@ -125,6 +125,24 @@ class TestSimulate:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert len(summary["means"]) == len(summary["maxes"]) == 5
 
+    def test_scaled_ring_weights_run_the_same_rule(self, tmp_path, capsys):
+        # Ring weights are relative amplitudes: scaled by 2**1020 their
+        # unnormalized sum would overflow, and the run must not change.
+        rule = rule_to_dict(load_preset("H_natans"))
+        weights = rule["kernel"]["ring_weights"]
+        trees = []
+        for i, scale in enumerate((1.0, 2.0 ** 1020)):
+            rule["kernel"]["ring_weights"] = [b * scale for b in weights]
+            path = tmp_path / f"rule_{i}.json"
+            path.write_text(json.dumps(rule))
+            out = tmp_path / f"out_{i}"
+            assert main(["simulate", "--rule-file", str(path), "--side", "40",
+                         "--steps", "4", "--frames-every", "2",
+                         "--out", str(out)]) == 0
+            trees.append(read_bytes_tree(out))
+        assert "frames/frame_000002.pgm" in trees[0]
+        assert trees[1] == trees[0]
+
     def test_frames_written(self, tmp_path, capsys):
         args = ["simulate", "--steps", "4", "--side", "64", "--frames-every",
                 "2", "--out", str(tmp_path)]

@@ -175,6 +175,16 @@ class TestBuildKernel:
             assert abs(k.weights.sum() - 1.0) < 1e-9
             assert np.all(k.weights >= 0)
 
+    @pytest.mark.parametrize("spec", [ORBIUM_KERNEL, NATANS_KERNEL],
+                             ids=["Orbium", "H_natans"])
+    def test_ring_weights_are_relative_amplitudes(self, spec):
+        # Scaled by 2**1020, the unnormalized weights would sum past the
+        # largest float; every scaled entry is exact, so the bits are equal.
+        scaled = KernelSpec(spec.radius, tuple(b * 2.0 ** 1020
+                                               for b in spec.ring_weights))
+        assert (build_kernel(scaled).weights.tobytes()
+                == build_kernel(spec).weights.tobytes())
+
     def test_symmetry_under_rotation_and_reflection(self):
         w = build_kernel(NATANS_KERNEL).weights
         assert np.array_equal(w, w.T)
