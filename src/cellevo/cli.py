@@ -13,6 +13,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from .config import (
+    MODES,
     EvolveCaConfig,
     MetricsConfig,
     PatternEvoConfig,
@@ -20,7 +21,7 @@ from .config import (
     load_config_file,
 )
 from .grid import place_centered, seeded_patches, substream
-from .halting import MODES, check_mode, evolve_rules
+from .halting import evolve_rules
 from .io import (
     load_pattern,
     load_rule,
@@ -83,7 +84,7 @@ _CONFIG_FLAGS = {
     "simulate": (SimulateConfig, ("side", "steps", "init", "patch_side",
                                   "frames_every")),
     "evolve-ca": (EvolveCaConfig, (
-        "generations", "popsize", "sigma0", "dt", "fitness.n_grids",
+        "mode", "generations", "popsize", "sigma0", "dt", "fitness.n_grids",
         "fitness.grid_side", "fitness.horizon", "fitness.epochs")),
     "evolve-pattern": (PatternEvoConfig, ("grid_side", "tile_side", "steps",
                                           "population", "generations")),
@@ -91,6 +92,7 @@ _CONFIG_FLAGS = {
                                 "box_side", "window")),
 }
 _FLAG_HELP = {
+    "mode": " | ".join(MODES),
     "fitness.n_grids": "halting dataset size per candidate",
     "frames_every": "write a PGM frame every K steps (0 = no frames)",
 }
@@ -182,12 +184,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_evolve_ca(args) -> int:
-    cfg, out = _setup(args, lambda cfg: check_mode(args.mode, cfg))
-    result = evolve_rules(args.mode, cfg, args.seed, workers=args.workers)
+    cfg, out = _setup(args)
+    result = evolve_rules(cfg, args.seed, workers=args.workers)
     save_history(result.history, out / "history.jsonl")
     save_rule(result.best_rule, out / "best_rule.json")
     print(
-        f"{args.mode}: {cfg.generations} generations, {result.evaluations}"
+        f"{cfg.mode}: {cfg.generations} generations, {result.evaluations}"
         f" evaluations, best fitness {result.best_fitness:.6g} -> {out}"
     )
     return 0
@@ -288,7 +290,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("evolve-ca", help="evolve rule parameters for "
                                          "halting unpredictability")
     _add_common(p, "evolve-ca")
-    p.add_argument("--mode", default="simple", help=" | ".join(MODES))
     p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.set_defaults(handler=_cmd_evolve_ca)
 

@@ -5,7 +5,9 @@ end at desk scale. `from_dict` parses with `rules.from_json`, the parser
 rule files use too: an unknown key or a value of the wrong JSON type is
 an error that names the field, so config files fail loudly instead of
 silently ignoring typos or coercing values. An int passes as a float;
-a bool passes as neither.
+a bool passes as neither. Construction refuses, naming the field, any
+setting a run could not use, evolve-ca's cross-field limits included:
+its mode, popsize, predictor-mode dataset and kernel fit.
 """
 from __future__ import annotations
 
@@ -14,10 +16,12 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .rules import KernelSpec, from_json
+from .predictor import check_dataset
+from .rules import KernelSpec, check_kernel, from_json
 
 # Kernel used when evolving new rules (the wide three-ring neighborhood).
 DEFAULT_EVO_KERNEL = KernelSpec(radius=18, ring_weights=(0.5, 1.0, 0.667))
+MODES = ("simple", "predictor", "random")
 
 
 class _FromDict:
@@ -88,6 +92,7 @@ class HaltingFitnessConfig(_FromDict):
 class EvolveCaConfig(_FromDict):
     section = "evolve-ca"
 
+    mode: str = "simple"  # one of MODES
     generations: int = 10
     popsize: int = 0  # 0 = optimizer default (8 for 4 parameters)
     sigma0: float = 0.5
@@ -104,6 +109,14 @@ class EvolveCaConfig(_FromDict):
             raise ValueError("sigma0 must be positive and finite")
         if not 0.0 <= self.dt <= 1.0:
             raise ValueError("dt must lie in [0, 1]")
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+        if self.mode != "random" and self.popsize == 1:
+            raise ValueError(f"popsize 1 is too small for CMA-ES in {self.mode} mode")
+        if self.mode == "predictor":
+            check_dataset(self.fitness.n_grids, self.fitness.grid_side,
+                          self.fitness.split)
+        check_kernel(self.kernel, self.fitness.grid_side)
 
     @classmethod
     def from_dict(cls, data: dict) -> "EvolveCaConfig":

@@ -13,8 +13,9 @@ dataset is `generate_dataset(rule, cfg, (seed, 0))`, whose grid j comes
 from the (seed, 0, j) stream, and CNN n trains from (seed, 1 + n).
 
 Candidates are 4-vectors in unbounded space, squashed to (genesis mu,
-genesis sigma, persistence mu, persistence sigma) bounds, and optimized
-with CMA-ES; a uniform random search serves as the baseline mode.
+genesis sigma, persistence mu, persistence sigma) bounds. `evolve_rules`
+optimizes them with CMA-ES, or samples them uniformly as the random
+baseline, as `cfg.mode` says.
 """
 from __future__ import annotations
 
@@ -27,14 +28,12 @@ from .cmaes import CmaEs, default_popsize
 from .config import EvolveCaConfig, HaltingFitnessConfig
 from .grid import seed_path, seeded_patches, substream
 from .parallel import run_search
-from .rules import (GLABERISH, GrowthBump, KernelSpec, RuleParams, check_kernel,
-                    trajectory)
+from .rules import GLABERISH, GrowthBump, KernelSpec, RuleParams, trajectory
 
 HALT_THRESHOLD = 1e-6
 SIGMA_LO = 0.001
 SIGMA_HI = 0.3
 GENOME_DIM = 4
-MODES = ("simple", "predictor", "random")
 
 
 @dataclass(frozen=True)
@@ -159,40 +158,14 @@ class EvolveCaResult:
     evaluations: int
 
 
-def check_mode(mode: str, cfg: EvolveCaConfig) -> None:
-    """Reject a mode the config cannot run, before any work starts."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if mode != "random" and cfg.popsize == 1:
-        raise ValueError(f"popsize 1 is too small for CMA-ES in {mode} mode")
-    fitness = cfg.fitness
-    if mode == "predictor":
-        if fitness.grid_side % pred.INPUT_SIDE:
-            raise ValueError(
-                f"grid_side {fitness.grid_side} must be a multiple of"
-                f" {pred.INPUT_SIDE} in predictor mode"
-            )
-        # predictor.train's own limits, checked here so no run starts.
-        if fitness.n_grids < 4:
-            raise ValueError(
-                f"n_grids {fitness.n_grids} must be at least 4 in predictor mode"
-            )
-        if not 0 < int(fitness.n_grids * fitness.split) < fitness.n_grids:
-            raise ValueError(
-                f"split {fitness.split} leaves an empty train or validation set"
-                f" of n_grids {fitness.n_grids}"
-            )
-    check_kernel(cfg.kernel, fitness.grid_side)
-
-
 def _evaluate(args) -> float:
     """Worker for one candidate: its fitness, which may be non-finite."""
-    raw, mode, cfg, eval_seed, fitness_fn = args
+    raw, cfg, eval_seed, fitness_fn = args
     if fitness_fn is not None:
         value = fitness_fn(raw, eval_seed)
     else:
         rule = genome_to_rule(raw, cfg.kernel, cfg.dt)
-        fitness = predictor_fitness if mode == "predictor" else simple_fitness
+        fitness = predictor_fitness if cfg.mode == "predictor" else simple_fitness
         value = fitness(rule, cfg.fitness, eval_seed)
     return float(value)
 
@@ -216,13 +189,8 @@ class UniformSearch:
         self.generation += 1
 
 
-def evolve_rules(
-    mode: str,
-    cfg: EvolveCaConfig,
-    seed: int,
-    fitness_fn=None,
-    workers: int = 1,
-) -> EvolveCaResult:
+def evolve_rules(cfg: EvolveCaConfig, seed: int, fitness_fn=None,
+                 workers: int = 1) -> EvolveCaResult:
     """Run one evolution: CMA-ES for simple/predictor, uniform for random.
 
     `parallel.run_search` drives either strategy through ask/tell, and
@@ -232,9 +200,8 @@ def evolve_rules(
     A non-finite fitness is told as -1 and counted in n_nonfinite. The
     best result is the first history entry with the top best_fitness.
     """
-    check_mode(mode, cfg)
     lam = cfg.popsize or default_popsize(GENOME_DIM)
-    if mode == "random":
+    if cfg.mode == "random":
         strategy = UniformSearch(seed, lam)
     else:
         strategy = CmaEs(
@@ -246,7 +213,7 @@ def evolve_rules(
     n_nonfinite = []  # per generation
 
     def evaluate(gen, cands, pool_map):
-        jobs = [(cands[i], mode, cfg, seed_path(seed, gen, i), fitness_fn)
+        jobs = [(cands[i], cfg, seed_path(seed, gen, i), fitness_fn)
                 for i in range(lam)]
         fits = np.array(list(pool_map(_evaluate, jobs)))
         nonfinite = ~np.isfinite(fits)
@@ -261,7 +228,7 @@ def evolve_rules(
             "mean_fitness": float(fits.mean()),
             "best_genome": [float(v) for v in cands[gi]],
             "n_nonfinite": n_nonfinite[-1],
-            "mode": mode,
+            "mode": cfg.mode,
             "seed": seed,
         }
 
@@ -269,6 +236,7 @@ def evolve_rules(
                                       min(workers, lam))
     best = max(history, key=lambda h: h["best_fitness"])
     best_raw = np.array(best["best_genome"])
-    best_rule = genome_to_rule(best_raw, cfg.kernel, cfg.dt, name=f"evolved_{mode}")
+    best_rule = genome_to_rule(best_raw, cfg.kernel, cfg.dt,
+                               name=f"evolved_{cfg.mode}")
     return EvolveCaResult(best_rule, best_raw, best["best_fitness"], history,
                           evaluations)

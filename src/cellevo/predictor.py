@@ -194,6 +194,17 @@ class TrainResult:
     n_val: int
 
 
+def check_dataset(n_grids: int, grid_side: int, split: float) -> None:
+    """Refuse a dataset `train` cannot use: a grid_side that is not a multiple
+    of INPUT_SIDE, fewer than 4 grids, or a split that empties a set."""
+    if grid_side % INPUT_SIDE:
+        raise ValueError(f"grid_side {grid_side} must be a multiple of {INPUT_SIDE}")
+    if n_grids < 4:
+        raise ValueError(f"n_grids {n_grids} must be at least 4 to split")
+    if not 0 < int(n_grids * split) < n_grids:
+        raise ValueError(f"split {split} empties a train or validation set")
+
+
 def train(
     grids,
     labels,
@@ -210,14 +221,11 @@ def train(
     conv1 windows are copied once, and each batch gathers its rows. The
     parameters live in one flat vector that each SGD step updates in place.
     """
+    m = len(grids)
+    check_dataset(m, np.shape(grids)[-1], split)
     x = block_mean(grids, INPUT_SIDE)
     y = np.asarray(labels, dtype=np.float64)
-    m = x.shape[0]
-    if m < 4:
-        raise ValueError("need at least 4 examples to split")
     n_train = int(m * split)
-    if not (0 < n_train < m):
-        raise ValueError(f"split {split} leaves an empty train or validation set")
 
     rng = substream(seed)
     perm = rng.permutation(m)

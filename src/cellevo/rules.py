@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 from dataclasses import MISSING, dataclass
 from functools import lru_cache
 from importlib import resources
@@ -144,10 +145,18 @@ def build_kernel(spec: KernelSpec) -> Kernel:
 
 
 def check_kernel(spec: KernelSpec, side: int, field: str = "grid_side") -> None:
-    """Refuse a kernel that does not fit the grid side `field`, then one whose
-    weights all come out 0; the fit check comes first, so no stencil larger
-    than the grid is built."""
+    """Refuse a kernel that does not fit the grid side `field`, then a side
+    whose one float64 grid exceeds the host's physical memory (where the
+    platform reports it), then a kernel whose weights all come out 0. Both
+    side checks come first, so no stencil larger than a grid is built."""
     check_kernel_fits(spec.radius, side, field)
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        memory = 0
+    if 0 < memory < 8 * side * side:
+        raise ValueError(f"{field} {side} needs {8 * side * side} bytes per grid,"
+                         f" more than the {memory} bytes of physical memory")
     build_kernel(spec)
 
 

@@ -193,6 +193,22 @@ class TestEvolveCa:
         best = json.loads((tmp_path / "best_rule.json").read_text())
         assert best["framework"] == "glaberish"
 
+    @pytest.mark.parametrize("flags, mode", [
+        ([], "predictor"), (["--mode", "simple"], "simple")],
+        ids=["config-file", "flag-wins"])
+    def test_mode_from_config_file(self, tmp_path, flags, mode, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": "predictor"}))
+        out = tmp_path / "out"
+        argv = ["evolve-ca", "--generations", "1", "--popsize", "2",
+                "--n-grids", "4", "--grid-side", "64", "--horizon", "2",
+                "--epochs", "0", "--config", str(cfg), *flags, "--out", str(out)]
+        assert main(argv) == 0
+        records = [json.loads(line) for line in
+                   (out / "history.jsonl").read_text().splitlines()]
+        assert [r["mode"] for r in records] == [mode]
+        assert capsys.readouterr().out.startswith(f"{mode}: ")
+
 
 class TestEvolvePattern:
     def test_outputs_and_determinism(self, tmp_path, capsys):
@@ -413,10 +429,10 @@ class TestConfigFlags:
           "--patch-side", "8", "--frames-every", "2"],
          dict(side=64, steps=3, init="uniform", patch_side=8, frames_every=2)),
         ("evolve-ca", EvolveCaConfig,
-         ["--generations", "3", "--popsize", "4", "--sigma0", "0.25",
-          "--dt", "0.2", "--n-grids", "6", "--grid-side", "40",
-          "--horizon", "5", "--epochs", "2"],
-         dict(generations=3, popsize=4, sigma0=0.25, dt=0.2)),
+         ["--mode", "random", "--generations", "3", "--popsize", "4",
+          "--sigma0", "0.25", "--dt", "0.2", "--n-grids", "6",
+          "--grid-side", "40", "--horizon", "5", "--epochs", "2"],
+         dict(mode="random", generations=3, popsize=4, sigma0=0.25, dt=0.2)),
         ("evolve-pattern", PatternEvoConfig,
          ["--grid-side", "64", "--tile-side", "16", "--steps", "8",
           "--population", "4", "--generations", "2"],
@@ -682,6 +698,32 @@ def test_evolve_ca_grid_smaller_than_kernel_is_usage_error(tmp_path, capsys):
     argv = [*EVOLVE_CA, "--grid-side", "20", "--out", str(out)]
     assert main(argv) == 1
     assert "grid_side 20" in capsys.readouterr().err
+    assert not out.exists()
+
+
+HUGE = 10 ** 8  # one float64 grid of this side takes 80 PB
+
+
+@pytest.mark.parametrize("argv, config, named", [
+    (["simulate", "--side", str(HUGE)], None, f"side {HUGE}"),
+    (["simulate"], {"side": 10 ** 30}, f"side {10 ** 30}"),
+    ([*EVOLVE_CA, "--grid-side", str(HUGE)], None, f"grid_side {HUGE}"),
+    (["metrics", "--patch-side", "8", "--box-side", "16", "--grid-side",
+      str(HUGE)], None, f"grid_side {HUGE}"),
+    (["evolve-pattern", "--grid-side", str(HUGE)], None, f"grid_side {HUGE}"),
+    (["render", "--grid-side", str(HUGE)], None, f"grid_side {HUGE}"),
+], ids=["simulate", "simulate-config", "evolve-ca", "metrics",
+        "evolve-pattern", "render"])
+def test_grid_beyond_physical_memory_is_usage_error(tmp_path, argv, config,
+                                                    named, capsys):
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = [*argv, "--config", str(tmp_path / "cfg.json")]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"cellevo: error: {named} needs"), err
+    assert "physical memory" in err
     assert not out.exists()
 
 

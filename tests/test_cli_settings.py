@@ -2,7 +2,8 @@
 
 For each subcommand, hypothesis draws small settings with zero, negative
 and below-kernel-side values mixed in, plus --config files that set
-config-only fields and, for render, --pattern files with small tiles.
+config-only fields (and evolve-ca's mode on some draws) and, for render,
+--pattern files with small tiles.
 Every run must exit 0, or exit 1 with a `cellevo: error:` message and no
 --out.
 """
@@ -17,8 +18,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from cellevo.cli import main
-from cellevo.config import DEFAULT_EVO_KERNEL
-from cellevo.halting import MODES
+from cellevo.config import DEFAULT_EVO_KERNEL, MODES
 from cellevo.io import save_pattern
 from cellevo.rules import load_preset
 
@@ -73,7 +73,12 @@ def evolve_ca(draw):
                     horizon=ints(1, 8), epochs=ints(0, 1), workers=ints(1, 2),
                     patch_side=(st.integers(0, 48), st.integers(-3, -1))))
     config = {"fitness": {"patch_side": v.pop("patch_side")}}
-    return ["evolve-ca", "--mode", mode, *flags(**v)], config, None
+    argv = ["evolve-ca", *flags(**v)]
+    if draw(st.booleans()):
+        config["mode"] = mode
+    else:
+        argv += ["--mode", mode]
+    return argv, config, None
 
 
 @st.composite

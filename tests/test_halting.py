@@ -237,6 +237,24 @@ class TestGenomeSquash:
         assert rule.dt == 0.1
 
 
+# An unknown mode: TestEvolveRules::test_rejects_unknown_mode.
+@pytest.mark.parametrize("settings, message", [
+    (dict(popsize=1), "popsize 1"),
+    (dict(mode="predictor", fitness=HaltingFitnessConfig(n_grids=3)),
+     "n_grids 3"),
+    (dict(mode="predictor", fitness=HaltingFitnessConfig(grid_side=40)),
+     "grid_side 40"),
+    (dict(mode="predictor", fitness=HaltingFitnessConfig(n_grids=5, split=0.1)),
+     "split 0.1"),
+    (dict(fitness=HaltingFitnessConfig(grid_side=36)),
+     "kernel side 37 does not fit grid_side 36"),
+], ids=["popsize", "predictor-n_grids", "predictor-grid_side",
+        "predictor-split", "kernel"])
+def test_evolve_ca_config_refuses_at_construction(settings, message):
+    with pytest.raises(ValueError, match=message):
+        EvolveCaConfig(**settings)
+
+
 def quadratic_fitness(raw, eval_seed):
     return -float(raw[0] ** 2)
 
@@ -250,7 +268,7 @@ class TestEvolveRules:
             return -float(raw @ raw)
 
         cfg = EvolveCaConfig(generations=1, kernel=SMALL_KERNEL)
-        res = evolve_rules("simple", cfg, seed=5, fitness_fn=counting)
+        res = evolve_rules(cfg, seed=5, fitness_fn=counting)
         assert len(res.history) == 1
         assert res.evaluations == 8
         assert len(calls) == 8
@@ -267,7 +285,7 @@ class TestEvolveRules:
 
     def test_best_so_far_non_decreasing(self):
         cfg = EvolveCaConfig(generations=20, kernel=SMALL_KERNEL)
-        res = evolve_rules("simple", cfg, seed=2, fitness_fn=quadratic_fitness)
+        res = evolve_rules(cfg, seed=2, fitness_fn=quadratic_fitness)
         running = -np.inf
         for rec in res.history:
             running = max(running, rec["best_fitness"])
@@ -275,12 +293,12 @@ class TestEvolveRules:
 
     def test_landscape_oracle_recovers_zero(self):
         cfg = EvolveCaConfig(generations=150, kernel=SMALL_KERNEL, sigma0=1.0)
-        res = evolve_rules("simple", cfg, seed=1, fitness_fn=quadratic_fitness)
+        res = evolve_rules(cfg, seed=1, fitness_fn=quadratic_fitness)
         assert abs(res.best_raw[0]) < 1e-6
 
     def test_random_mode_stays_in_bounds(self):
-        cfg = EvolveCaConfig(generations=3, kernel=SMALL_KERNEL)
-        res = evolve_rules("random", cfg, seed=8, fitness_fn=quadratic_fitness)
+        cfg = EvolveCaConfig(mode="random", generations=3, kernel=SMALL_KERNEL)
+        res = evolve_rules(cfg, seed=8, fitness_fn=quadratic_fitness)
         assert res.best_rule.framework == "glaberish"
         for rec in res.history:
             vals = squash_genome(np.array(rec["best_genome"]))
@@ -292,7 +310,7 @@ class TestEvolveRules:
             return float("nan") if raw[0] > 0 else 0.0
 
         cfg = EvolveCaConfig(generations=2, kernel=SMALL_KERNEL)
-        res = evolve_rules("simple", cfg, seed=3, fitness_fn=sometimes_nan)
+        res = evolve_rules(cfg, seed=3, fitness_fn=sometimes_nan)
         assert np.isfinite(res.best_fitness)
 
     def test_non_finite_fitness_counted_and_told_as_minus_one(self, monkeypatch):
@@ -313,7 +331,7 @@ class TestEvolveRules:
 
         monkeypatch.setattr(CmaEs, "tell", spy_tell)
         cfg = EvolveCaConfig(generations=3, kernel=SMALL_KERNEL)
-        res = evolve_rules("simple", cfg, seed=3, fitness_fn=nan_or_inf)
+        res = evolve_rules(cfg, seed=3, fitness_fn=nan_or_inf)
         assert len(told) == 3
         for gen, (rec, fits) in enumerate(zip(res.history, told), start=1):
             values = np.array([returned[(3, gen, i)] for i in range(len(fits))])
@@ -325,37 +343,36 @@ class TestEvolveRules:
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
-            evolve_rules("gradient", FAST_EVO, seed=0)
+            EvolveCaConfig(mode="gradient")
 
     def test_full_run_deterministic(self):
-        a = evolve_rules("simple", FAST_EVO, seed=6)
-        b = evolve_rules("simple", FAST_EVO, seed=6)
+        a = evolve_rules(FAST_EVO, seed=6)
+        b = evolve_rules(FAST_EVO, seed=6)
         assert a.history == b.history
         assert np.array_equal(a.best_raw, b.best_raw)
 
     def test_workers_do_not_change_results(self):
-        one = evolve_rules("simple", FAST_EVO, seed=4, workers=1)
-        two = evolve_rules("simple", FAST_EVO, seed=4, workers=2)
+        one = evolve_rules(FAST_EVO, seed=4, workers=1)
+        two = evolve_rules(FAST_EVO, seed=4, workers=2)
         assert one.history == two.history
 
     def test_predictor_workers_do_not_change_bits(self):
         cfg = EvolveCaConfig(
-            generations=2, popsize=2, kernel=SMALL_KERNEL,
+            mode="predictor", generations=2, popsize=2, kernel=SMALL_KERNEL,
             fitness=HaltingFitnessConfig(
                 n_grids=8, grid_side=32, horizon=4, epochs=1
             ),
         )
-        one = evolve_rules("predictor", cfg, seed=9, workers=1)
-        two = evolve_rules("predictor", cfg, seed=9, workers=2)
+        one = evolve_rules(cfg, seed=9, workers=1)
+        two = evolve_rules(cfg, seed=9, workers=2)
         assert one.history == two.history
         assert one.best_raw.tobytes() == two.best_raw.tobytes()
 
     def test_random_mode_workers_do_not_change_results(self):
-        cfg = EvolveCaConfig(generations=3, popsize=5, kernel=SMALL_KERNEL)
-        one = evolve_rules("random", cfg, seed=11, fitness_fn=quadratic_fitness,
-                           workers=1)
-        two = evolve_rules("random", cfg, seed=11, fitness_fn=quadratic_fitness,
-                           workers=2)
+        cfg = EvolveCaConfig(mode="random", generations=3, popsize=5,
+                             kernel=SMALL_KERNEL)
+        one = evolve_rules(cfg, seed=11, fitness_fn=quadratic_fitness, workers=1)
+        two = evolve_rules(cfg, seed=11, fitness_fn=quadratic_fitness, workers=2)
         assert one.history == two.history
         assert one.best_raw.tobytes() == two.best_raw.tobytes()
         assert one.best_fitness == two.best_fitness
@@ -369,14 +386,14 @@ class TestEvolveRules:
             first.setdefault(tuple(eval_seed), np.array(raw))
             return -0.5
 
-        cfg = EvolveCaConfig(generations=4, kernel=SMALL_KERNEL)
-        res = evolve_rules(mode, cfg, seed=7, fitness_fn=constant)
+        cfg = EvolveCaConfig(mode=mode, generations=4, kernel=SMALL_KERNEL)
+        res = evolve_rules(cfg, seed=7, fitness_fn=constant)
         assert res.best_fitness == -0.5
         assert res.best_raw.tobytes() == first[(7, 1, 0)].tobytes()
         assert res.history[0]["best_genome"] == list(first[(7, 1, 0)])
 
     def test_simple_real_fitness_end_to_end(self):
-        res = evolve_rules("simple", FAST_EVO, seed=7)
+        res = evolve_rules(FAST_EVO, seed=7)
         assert -0.25 <= res.best_fitness <= 0.0
         assert res.best_rule.framework == "glaberish"
 
@@ -399,11 +416,12 @@ class TestEvolveRules:
         monkeypatch.setattr(halting, "generate_dataset", spy_dataset)
         monkeypatch.setattr(predictor, "train", spy_train)
         cfg = EvolveCaConfig(
-            generations=2, popsize=2, sigma0=0.001, kernel=DEFAULT_EVO_KERNEL,
+            mode="predictor", generations=2, popsize=2, sigma0=0.001,
+            kernel=DEFAULT_EVO_KERNEL,
             fitness=HaltingFitnessConfig(n_grids=8, grid_side=64, horizon=32,
                                          epochs=1, n_predictors=2),
         )
-        evolve_rules("predictor", cfg, seed=3)
+        evolve_rules(cfg, seed=3)
         assert [s for s, _ in datasets] == [
             (3, g, i, 0) for g in (1, 2) for i in (0, 1)]
         assert any(mixed for _, mixed in datasets)

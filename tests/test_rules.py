@@ -1,6 +1,7 @@
 """Growth bumps, ring kernels, update steps, presets, serialization."""
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -221,6 +222,22 @@ class TestBuildKernel:
         assert str(err.value) == (
             f"kernel weights sum to 0 at radius {radius} with core {core!r}"
             f" and core_param {core_param!r}")
+
+    def test_check_kernel_refuses_a_grid_beyond_physical_memory(self):
+        spec = KernelSpec(radius=2, ring_weights=(1.0,))
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        side = math.isqrt(memory // 8)  # the largest side whose grid fits
+        check_kernel(spec, side, "side")
+        with pytest.raises(ValueError, match=f"^side {side + 1} needs"):
+            check_kernel(spec, side + 1, "side")
+
+    def test_check_kernel_sets_no_memory_bound_the_platform_cannot_report(
+            self, monkeypatch):
+        def unknown(name):
+            raise ValueError(f"unrecognized configuration name {name!r}")
+
+        monkeypatch.setattr(rules.os, "sysconf", unknown)
+        check_kernel(KernelSpec(radius=2, ring_weights=(1.0,)), 10 ** 30)
 
 
 class TestStep:
