@@ -8,11 +8,13 @@ deterministic given the master --seed (no timestamps, no global RNG).
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from contextlib import contextmanager
 from pathlib import Path
 
 from .config import (
+    DEFAULT_RULE,
     MODES,
     EvolveCaConfig,
     MetricsConfig,
@@ -24,7 +26,6 @@ from .grid import place_centered, seeded_patches, substream
 from .halting import evolve_rules
 from .io import (
     load_pattern,
-    load_rule,
     save_history,
     save_metrics,
     save_metrics_csv,
@@ -34,7 +35,7 @@ from .io import (
     write_json,
 )
 from .metrics import CSV_HEADER, compute_metrics
-from .patterns import check_tile, evolve_patterns, random_genome, synthesize
+from .patterns import evolve_patterns, random_genome, synthesize
 from .rules import check_kernel, load_preset, preset_names, run
 
 
@@ -56,13 +57,6 @@ def _usage_errors():
         raise _UsageError(exc.args[0]) from exc
     except (ValueError, OSError) as exc:
         raise _UsageError(str(exc)) from exc
-
-
-def _resolve_rule(args):
-    with _usage_errors():
-        if getattr(args, "rule_file", None):
-            return load_rule(args.rule_file)
-        return load_preset(args.rule)
 
 
 def _int_at_least(low: int):
@@ -102,7 +96,8 @@ def _build_config(args):
     """Overlay the given config-backed flags on the optional --config file.
 
     A fitness flag replaces one key of the file's fitness section and
-    keeps the others.
+    keeps the others. --rule-file (its parsed JSON) or --rule (a preset
+    name) replaces the file's `rule`.
     """
     cls, names = _CONFIG_FLAGS[args.command]
     with _usage_errors():
@@ -118,15 +113,16 @@ def _build_config(args):
                         break  # from_dict rejects the section by name
                     target = data[section] = dict(target)
                 target[key] = value
+        if getattr(args, "rule_file", None):
+            data["rule"] = json.loads(Path(args.rule_file).read_text())
+        elif getattr(args, "rule", None):
+            data["rule"] = args.rule
         return cls.from_dict(data)
 
 
-def _setup(args, check=None):
-    """Build the config, run the subcommand's `check(cfg)`, then create --out."""
+def _setup(args):
+    """Build the config, then create --out."""
     cfg = _build_config(args)
-    if check is not None:
-        with _usage_errors():
-            check(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return cfg, out
@@ -151,9 +147,8 @@ def _cmd_presets(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    rule = _resolve_rule(args)
-    cfg, out = _setup(
-        args, lambda cfg: check_kernel(rule.kernel, cfg.side, "side"))
+    cfg, out = _setup(args)
+    rule = cfg.rule
     # Grid 0 of a seeded batch; --init uniform is a patch as large as the grid.
     patch = cfg.patch_side if cfg.init == "patch" else cfg.side
     state = seeded_patches(1, cfg.side, patch, args.seed)[0]
@@ -196,18 +191,18 @@ def _cmd_evolve_ca(args) -> int:
 
 
 def _cmd_evolve_pattern(args) -> int:
-    rule = _resolve_rule(args)
-    cfg, out = _setup(args, lambda cfg: check_tile(rule, cfg))
-    result = evolve_patterns(rule, cfg, args.seed, workers=args.workers)
+    cfg, out = _setup(args)
+    rule = cfg.rule
+    result = evolve_patterns(cfg, args.seed, workers=args.workers)
     save_history(result.history, out / "history.jsonl")
-    # Reference the rule by name when it came from a shipped preset so the
-    # pattern file stays self-describing either way.
-    rule_ref = args.rule if not args.rule_file else rule
+    # A preset named by --rule or the config file is stored by name; a rule
+    # read from an object is stored in full, even when it equals a preset.
+    named = rule.name in preset_names() and load_preset(rule.name) is rule
     save_pattern(
         out / "best_pattern.json",
         name=f"{rule.name}-evolved-{args.seed}",
         tile=result.best_tile,
-        rule=rule_ref,
+        rule=rule.name if named else rule,
     )
     best = result.best_fitness
     print(
@@ -218,10 +213,8 @@ def _cmd_evolve_pattern(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    rule = _resolve_rule(args)
-    cfg, out = _setup(
-        args, lambda cfg: check_kernel(rule.kernel, cfg.grid_side))
-    report = compute_metrics(rule, cfg, args.seed)
+    cfg, out = _setup(args)
+    report = compute_metrics(cfg, args.seed)
     save_metrics(report, out / "metrics.json")
     save_metrics_csv([report], out / "metrics.csv")
     print(CSV_HEADER)
@@ -236,8 +229,8 @@ def _cmd_render(args) -> int:
             rule, tile = pattern.rule, pattern.tile
             label = pattern.name
         else:
-            # Demo mode: render a random synthesis tile under the Orbium rule.
-            rule = load_preset("Orbium")
+            # Demo mode: render a random synthesis tile under the default rule.
+            rule = load_preset(DEFAULT_RULE)
             tile = synthesize(random_genome(substream(args.seed, 0)),
                               4 * rule.kernel.radius)
             label = "demo"
@@ -269,8 +262,8 @@ def _add_common(parser, command):
 
 def _add_rule_args(parser):
     group = parser.add_mutually_exclusive_group()
-    group.add_argument("--rule", default="Orbium",
-                       help="preset rule name (default %(default)s)")
+    group.add_argument("--rule", default=None,
+                       help=f"preset rule name (default {DEFAULT_RULE})")
     group.add_argument("--rule-file", default=None, metavar="FILE",
                        help="rule JSON file instead of a preset")
 
@@ -308,7 +301,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("render", help="write PGM frames for a stored pattern")
     p.add_argument("--pattern", default=None, metavar="FILE",
                    help="pattern JSON file (default: a seeded demo tile "
-                        "under Orbium)")
+                        f"under {DEFAULT_RULE})")
     p.add_argument("--seed", type=_int_at_least(0), default=0,
                    help="seed for the demo tile (default %(default)s)")
     p.add_argument("--out", default=".",

@@ -6,8 +6,10 @@ rule files use too: an unknown key or a value of the wrong JSON type is
 an error that names the field, so config files fail loudly instead of
 silently ignoring typos or coercing values. An int passes as a float;
 a bool passes as neither. Construction refuses, naming the field, any
-setting a run could not use, evolve-ca's cross-field limits included:
-its mode, popsize, predictor-mode dataset and kernel fit.
+setting a run could not use, the cross-field limits included: evolve-ca's
+mode, popsize, predictor-mode dataset and kernel fit, and the fit of the
+rule's kernel and evolve-pattern's tile in the grid. A `rule` field holds
+the whole rule; a file gives it as a preset name or a rule object.
 """
 from __future__ import annotations
 
@@ -17,11 +19,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .predictor import check_dataset
-from .rules import KernelSpec, check_kernel, from_json
+from .rules import KernelSpec, RuleParams, check_kernel, from_json, load_preset
 
 # Kernel used when evolving new rules (the wide three-ring neighborhood).
 DEFAULT_EVO_KERNEL = KernelSpec(radius=18, ring_weights=(0.5, 1.0, 0.667))
 MODES = ("simple", "predictor", "random")
+# Preset run by simulate, metrics, evolve-pattern and render's demo mode.
+DEFAULT_RULE = "Orbium"
 
 
 class _FromDict:
@@ -43,6 +47,7 @@ class SimulateConfig(_FromDict):
     init: str = "patch"  # "patch" (centered noise) or "uniform" (full noise)
     patch_side: int = 0  # 0 = side // 2
     frames_every: int = 0  # write a PGM frame every k steps; 0 = none
+    rule: RuleParams = field(default_factory=lambda: load_preset(DEFAULT_RULE))
 
     def __post_init__(self):
         if self.side < 3:
@@ -55,6 +60,7 @@ class SimulateConfig(_FromDict):
             raise ValueError("patch_side must lie in [0, side]")
         if self.frames_every < 0:
             raise ValueError("frames_every must be nonnegative")
+        check_kernel(self.rule.kernel, self.side, "side")
 
 
 @dataclass(frozen=True)
@@ -142,6 +148,7 @@ class PatternEvoConfig(_FromDict):
     act_prob: float = 0.05  # per-node activation resample probability
     survival_threshold: float = 0.01
     lambda_homeo: float = 10.0
+    rule: RuleParams = field(default_factory=lambda: load_preset(DEFAULT_RULE))
 
     def __post_init__(self):
         if self.population < 2:
@@ -162,6 +169,19 @@ class PatternEvoConfig(_FromDict):
             raise ValueError("survival_threshold must be finite")
         if not math.isfinite(self.lambda_homeo):
             raise ValueError("lambda_homeo must be finite")
+        radius, tile = self.rule.kernel.radius, self.resolved_tile_side
+        check_kernel(self.rule.kernel, self.grid_side)
+        if tile < 3:
+            raise ValueError(f"tile_side {tile} must be at least 3")
+        if tile > self.grid_side:
+            default = "" if self.tile_side else f" (4 * kernel radius {radius})"
+            raise ValueError(
+                f"tile_side {tile}{default} does not fit grid_side {self.grid_side}")
+
+    @property
+    def resolved_tile_side(self) -> int:
+        """`tile_side`, or 4 * the rule's kernel radius when that is 0."""
+        return self.tile_side or 4 * self.rule.kernel.radius
 
 
 @dataclass(frozen=True)
@@ -173,6 +193,7 @@ class MetricsConfig(_FromDict):
     patch_side: int = 32
     box_side: int = 64  # escape box, centered
     window: int = 512  # two consecutive windows of this many steps
+    rule: RuleParams = field(default_factory=lambda: load_preset(DEFAULT_RULE))
 
     def __post_init__(self):
         if self.n_grids < 1:
@@ -185,6 +206,7 @@ class MetricsConfig(_FromDict):
             raise ValueError("patch_side must fit the grid")
         if not 0 < self.box_side < self.grid_side:
             raise ValueError("box_side must be strictly inside the grid")
+        check_kernel(self.rule.kernel, self.grid_side)
 
 
 def load_config_file(path) -> dict:

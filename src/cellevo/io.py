@@ -18,7 +18,6 @@ from .rules import (
     _require_keys,
     json_value,
     load_preset,
-    rule_from_dict,
     rule_to_dict,
 )
 
@@ -34,10 +33,6 @@ def write_json(data, path: str | Path) -> Path:
 
 def save_rule(rule: RuleParams, path: str | Path) -> Path:
     return write_json(rule_to_dict(rule), path)
-
-
-def load_rule(path: str | Path) -> RuleParams:
-    return rule_from_dict(json.loads(Path(path).read_text()))
 
 
 def save_history(records: Iterable[dict], path: str | Path) -> Path:
@@ -116,13 +111,7 @@ def load_pattern(path: str | Path) -> PatternFile:
     if len(cells) != height * width:
         raise ValueError(f"expected {height * width} cells, got {len(cells)}")
     tile = _check_tile(np.reshape(cells, (height, width)))
-    rule_field = data["rule"]
-    if isinstance(rule_field, str):
-        rule = load_preset(rule_field)
-    elif isinstance(rule_field, dict):
-        rule = rule_from_dict(rule_field)
-    else:
-        raise ValueError("pattern 'rule' must be a preset name or rule object")
+    rule = json_value(data["rule"], RuleParams, "rule", "pattern")
     tile.flags.writeable = False
     return PatternFile(name=name, rule=rule, tile=tile)
 

@@ -19,7 +19,7 @@ import numpy as np
 from .config import MetricsConfig
 from .grid import seeded_patches
 from .halting import HALT_THRESHOLD
-from .rules import RuleParams, trajectory
+from .rules import trajectory
 
 ESCAPE_THRESHOLD = 0.01
 
@@ -70,8 +70,9 @@ class MetricsReport:
 CSV_HEADER = "name,fert1,fert2,mort1,mort2,grids,side,patch,window,seed"
 
 
-def compute_metrics(rule: RuleParams, cfg: MetricsConfig, seed: int) -> MetricsReport:
-    """Run n_grids seeded noise patches for two windows and tally the ratios.
+def compute_metrics(cfg: MetricsConfig, seed: int) -> MetricsReport:
+    """Run n_grids seeded noise patches under cfg.rule for two windows and
+    tally the ratios.
 
     Grid i draws from the (seed, i) stream. Exactly-dead grids are
     retired from the simulation once the empty state is absorbing; they
@@ -80,7 +81,7 @@ def compute_metrics(rule: RuleParams, cfg: MetricsConfig, seed: int) -> MetricsR
     n = cfg.n_grids
     side = cfg.grid_side
     # Passed straight in, so `trajectory` alone holds the initial batch.
-    grids = trajectory(seeded_patches(n, side, cfg.patch_side, seed), rule,
+    grids = trajectory(seeded_patches(n, side, cfg.patch_side, seed), cfg.rule,
                        2 * cfg.window)
 
     fertility = []
@@ -96,7 +97,7 @@ def compute_metrics(rule: RuleParams, cfg: MetricsConfig, seed: int) -> MetricsR
             escaped_now[:] = False
 
     return MetricsReport(
-        rule_name=rule.name,
+        rule_name=cfg.rule.name,
         fertility=(fertility[0], fertility[1]),
         mortality=(mortality[0], mortality[1]),
         n_grids=n,

@@ -20,7 +20,7 @@ from .config import PatternEvoConfig
 from .grid import place_centered, substream
 from .parallel import run_search
 from .predictor import sigmoid
-from .rules import RuleParams, check_kernel, trajectory
+from .rules import trajectory
 
 ACTIVATIONS = {
     "sine": np.sin,
@@ -139,10 +139,8 @@ class PatternFitness:
     total: float
 
 
-def evaluate_tiles(
-    tiles, rule: RuleParams, cfg: PatternEvoConfig
-) -> list[PatternFitness]:
-    """Score a batch of tiles under one rule; results are per-tile independent.
+def evaluate_tiles(tiles, cfg: PatternEvoConfig) -> list[PatternFitness]:
+    """Score a batch of tiles under cfg.rule; results are per-tile independent.
 
     When zero is absorbing, slices that reach the exact all-zero state are
     retired instead of being simulated further and read as an empty grid
@@ -154,7 +152,7 @@ def evaluate_tiles(
     start = np.stack([place_centered(side, t) for t in tiles])
     mean0 = start.mean(axis=(1, 2))
     com_prev = _com_batch(start)
-    grids = trajectory(start, rule, cfg.steps)
+    grids = trajectory(start, cfg.rule, cfg.steps)
     del start  # `grids` alone holds it now and drops it after the first update
 
     net = np.zeros((n, 2))
@@ -194,7 +192,7 @@ class PatternEvoResult:
 
 
 def _eval_chunk(args):
-    return evaluate_tiles(*args)  # (tiles, rule, cfg)
+    return evaluate_tiles(*args)  # (tiles, cfg)
 
 
 class TruncationGA:
@@ -232,40 +230,23 @@ class TruncationGA:
         self.generation += 1
 
 
-def check_tile(rule: RuleParams, cfg: PatternEvoConfig) -> int:
-    """The tile side (0 means 4 * kernel radius), between 3 and grid_side."""
-    check_kernel(rule.kernel, cfg.grid_side)
-    tile_side = cfg.tile_side or 4 * rule.kernel.radius
-    if tile_side < 3:
-        raise ValueError(f"tile_side {tile_side} must be at least 3")
-    if tile_side > cfg.grid_side:
-        default = "" if cfg.tile_side else f" (4 * kernel radius {rule.kernel.radius})"
-        raise ValueError(
-            f"tile_side {tile_side}{default} does not fit grid_side {cfg.grid_side}"
-        )
-    return tile_side
-
-
-def evolve_patterns(
-    rule: RuleParams,
-    cfg: PatternEvoConfig,
-    seed: int,
-    workers: int = 1,
-) -> PatternEvoResult:
-    """Truncation GA: keep the top quarter, refill with mutated survivors.
+def evolve_patterns(cfg: PatternEvoConfig, seed: int,
+                    workers: int = 1) -> PatternEvoResult:
+    """Truncation GA under cfg.rule: keep the top quarter, refill with
+    mutated survivors.
 
     `parallel.run_search` drives a `TruncationGA` through ask/tell and
     scores each generation's new genomes as one evaluate_tiles batch per
     worker. Offspring in slot i of generation g draw parent choice and
     mutation noise from the (seed, g, i) stream.
     """
-    tile_side = check_tile(rule, cfg)
+    tile_side = cfg.resolved_tile_side
     ga = TruncationGA(cfg, seed)
 
     def evaluate(gen, genomes, pool_map):
         tiles = [synthesize(g, tile_side) for g in genomes]
         chunks = np.array_split(np.arange(len(tiles)), min(workers, len(tiles)))
-        jobs = [([tiles[i] for i in chunk], rule, cfg) for chunk in chunks]
+        jobs = [([tiles[i] for i in chunk], cfg) for chunk in chunks]
         return [fit for part in pool_map(_eval_chunk, jobs) for fit in part]
 
     def record(genomes, fitnesses):

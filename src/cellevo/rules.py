@@ -57,7 +57,8 @@ def _growth(bump: GrowthBump, n: np.ndarray, out: np.ndarray) -> np.ndarray:
     The exponent is floored at -50: 2 exp(x) - 1 rounds to exactly -1 for
     every x <= -39, and exp is 10-90 times slower per element where its
     result is subnormal or underflows (x below about -708), as it is for
-    most cells under a narrow bump. `out` may be `n` itself.
+    most cells under a narrow bump. So a z or z z that overflows to inf is
+    exact too, and callers ignore that overflow. `out` may be `n` itself.
     """
     np.subtract(n, bump.mu, out=out)
     out /= bump.sigma
@@ -73,7 +74,8 @@ def _growth(bump: GrowthBump, n: np.ndarray, out: np.ndarray) -> np.ndarray:
 def growth_value(bump: GrowthBump, n):
     """Evaluate the growth bump; peak +1 at n = mu, floor -1 far away."""
     n = np.asarray(n, dtype=np.float64)
-    out = _growth(bump, n, np.empty_like(n))
+    with np.errstate(over="ignore"):  # exact: see `_growth`
+        out = _growth(bump, n, np.empty_like(n))
     return out.item() if out.ndim == 0 else out
 
 
@@ -135,7 +137,9 @@ def build_kernel(spec: KernelSpec) -> Kernel:
     ring = np.minimum(np.floor(u), nrings - 1).astype(int)
     q = u - ring
     amp = (np.asarray(spec.ring_weights) / max(spec.ring_weights))[ring]
-    weights = np.where(r <= 1.0, amp * _core_profile(spec, q), 0.0)
+    with np.errstate(over="ignore"):  # an overflowed exponent gives exp 0
+        profile = _core_profile(spec, q)
+    weights = np.where(r <= 1.0, amp * profile, 0.0)
     total = weights.sum()
     if total <= 0.0:
         raise ValueError(
@@ -223,22 +227,23 @@ def step(state: np.ndarray, rule: RuleParams) -> np.ndarray:
     flat = state.reshape(-1)  # copies only a non-contiguous state
     size = min(BLOCK_CELLS, cells.size)
     a, b = np.empty(size), np.empty(size)
-    for lo in range(0, cells.size, BLOCK_CELLS):
-        n = cells[lo : lo + BLOCK_CELLS]
-        s = flat[lo : lo + BLOCK_CELLS]
-        t, u = a[: n.size], b[: n.size]
-        if rule.framework == LENIA:
-            _growth(rule.growth, n, t)
-        else:
-            # delta = (1 - A) G_gen(n) + A G_per(n)
-            _growth(rule.genesis, n, t)
-            t *= np.subtract(1.0, s, out=u)
-            _growth(rule.persistence, n, u)
-            u *= s
-            t += u
-        t *= rule.dt
-        np.add(s, t, out=n)
-        np.clip(n, 0.0, 1.0, out=n)
+    with np.errstate(over="ignore"):  # exact: see `_growth`
+        for lo in range(0, cells.size, BLOCK_CELLS):
+            n = cells[lo : lo + BLOCK_CELLS]
+            s = flat[lo : lo + BLOCK_CELLS]
+            t, u = a[: n.size], b[: n.size]
+            if rule.framework == LENIA:
+                _growth(rule.growth, n, t)
+            else:
+                # delta = (1 - A) G_gen(n) + A G_per(n)
+                _growth(rule.genesis, n, t)
+                t *= np.subtract(1.0, s, out=u)
+                _growth(rule.persistence, n, u)
+                u *= s
+                t += u
+            t *= rule.dt
+            np.add(s, t, out=n)
+            np.clip(n, 0.0, 1.0, out=n)
     return out
 
 
@@ -358,11 +363,14 @@ def json_value(value, hint, key: str, what: str):
 
     int takes an int only (not 2.0), float a float or an int within the
     float range, str a string, tuple[X, ...] a list of X, and a dataclass
-    an object, parsed by `from_json` under the field's name. A union reads
-    as its first member, so `X | None` reads as X.
+    an object, parsed by `from_json` under the field's name. A RuleParams
+    also takes a string, the name of a preset (KeyError if unknown). A
+    union reads as its first member, so `X | None` reads as X.
     """
     if get_origin(hint) in (Union, UnionType):
         hint = get_args(hint)[0]
+    if hint is RuleParams and isinstance(value, str):
+        return load_preset(value)
     if dataclasses.is_dataclass(hint):
         return from_json(hint, value, key)
     if get_origin(hint) is tuple:

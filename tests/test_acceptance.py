@@ -6,6 +6,7 @@ re-run the larger experiments, so this file is much slower than the unit
 suites.
 """
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -159,13 +160,13 @@ def test_criterion_07_predictor_fitness_floor_and_ceiling():
 def test_criterion_08_metric_oracles_at_full_scale():
     t0 = time.perf_counter()
     cfg = MetricsConfig()  # 128 grids, 128x128, 2x512 steps
-    decayed = compute_metrics(ALWAYS_DECAY, cfg, seed=0)
+    decayed = compute_metrics(replace(cfg, rule=ALWAYS_DECAY), seed=0)
     assert decayed.mortality == (1.0, 1.0)
     assert decayed.fertility == (0.0, 0.0)
 
     frozen = RuleParams("frozen", "lenia", SMALL_KERNEL, 0.0,
                         growth=GrowthBump(0.15, 0.015))
-    still = compute_metrics(frozen, cfg, seed=0)
+    still = compute_metrics(replace(cfg, rule=frozen), seed=0)
     assert still.mortality == (0.0, 0.0)
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0, f"took {elapsed:.1f}s (budget 300s)"
@@ -179,20 +180,20 @@ def test_criterion_09_glaberish_presets_split_by_mortality_direction():
     # not the exact ratios; measured values are recorded in the messages.
     cfg = MetricsConfig()  # 128 grids, 128x128, 2x512 steps
     for name in ("s613", "s643"):
-        mort = compute_metrics(load_preset(name), cfg, seed=0).mortality
+        mort = compute_metrics(replace(cfg, rule=load_preset(name)), seed=0).mortality
         assert mort[0] < 0.5 and mort[1] < 0.5, f"{name} mortality {mort}"
-    s7 = compute_metrics(load_preset("s7"), cfg, seed=0).mortality
+    s7 = compute_metrics(replace(cfg, rule=load_preset("s7")), seed=0).mortality
     assert s7[1] > 0.5, f"s7 mortality {s7}"
 
 
 def test_criterion_10_pattern_evolution_finds_traveling_orbium_patterns():
     t0 = time.perf_counter()
     rule = load_preset("Orbium")
-    cfg = PatternEvoConfig(generations=100, population=32, steps=256)
+    cfg = PatternEvoConfig(generations=100, population=32, steps=256, rule=rule)
     threshold = 2 * rule.kernel.radius  # net displacement of 26 cells
     outcomes = []
     for seed in range(5):
-        best = evolve_patterns(rule, cfg, seed=seed).best_fitness
+        best = evolve_patterns(cfg, seed=seed).best_fitness
         outcomes.append((seed, round(best.motility, 1), best.survived))
         if best.survived and best.motility > threshold:
             break  # an existence claim over 5 runs; no need to finish the rest

@@ -812,3 +812,97 @@ def test_config_only_field_out_of_range_is_usage_error(tmp_path, argv, config,
     assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 1
     assert field in capsys.readouterr().err
     assert not out.exists()
+
+
+S613_NARROW_PERSISTENCE = rule_to_dict(load_preset("s613"))
+S613_NARROW_PERSISTENCE["persistence"]["sigma"] = 1e-200
+
+
+# Rule files whose growth or kernel profile overflows a float64 on the way
+# to an exact result: the exponent is floored at -50, and a kernel whose
+# weights all underflow to 0 is refused.
+@pytest.mark.parametrize("data", [
+    _orbium_rule_with(lambda r: r["growth"].update(sigma=5e-324)),
+    S613_NARROW_PERSISTENCE,
+    _orbium_rule_with(lambda r: r["growth"].update(mu=1e308, sigma=1e-300)),
+], ids=["orbium-sigma-5e-324", "s613-persistence-sigma-1e-200",
+        "mu-1e308-sigma-1e-300"])
+def test_overflowing_growth_runs_quietly(tmp_path, data, capsys):
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    argv = ["simulate", "--rule-file", str(path), "--side", "64", "--steps", "3",
+            "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert (out / "summary.json").exists()
+
+
+def test_overflowing_kernel_profile_is_one_usage_error(tmp_path, capsys):
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps(
+        _orbium_rule_with(lambda r: r["kernel"].update(core_param=1e308))))
+    out = tmp_path / "out"
+    assert main(["simulate", "--rule-file", str(path), "--steps", "1",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cellevo: error: kernel weights sum to 0 ")
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+    assert not out.exists()
+
+
+class TestRuleRoutes:
+    """--rule, --rule-file and the config file's `rule` key set one field."""
+
+    ARGS = ["evolve-pattern", "--generations", "1", "--population", "2",
+            "--steps", "8", "--grid-side", "64", "--tile-side", "8"]
+
+    def stored_rule(self, tmp_path, *argv, config=None):
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv = [*argv, "--config", str(tmp_path / "cfg.json")]
+        out = tmp_path / "out"
+        assert main([*self.ARGS, *argv, "--out", str(out)]) == 0
+        return json.loads((out / "best_pattern.json").read_text())["rule"]
+
+    def rule_file(self, tmp_path, data):
+        path = tmp_path / "rule.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    @pytest.mark.parametrize("argv, config", [(["--rule", "s613"], None),
+                                              ([], {"rule": "s613"})],
+                             ids=["flag", "config"])
+    def test_preset_is_stored_by_name(self, tmp_path, argv, config, capsys):
+        assert self.stored_rule(tmp_path, *argv, config=config) == "s613"
+
+    def test_rule_file_equal_to_a_preset_is_stored_in_full(self, tmp_path,
+                                                            capsys):
+        data = rule_to_dict(load_preset("s613"))
+        path = self.rule_file(tmp_path, data)
+        assert self.stored_rule(tmp_path, "--rule-file", path) == data
+
+    @pytest.mark.parametrize("flag", ["--rule", "--rule-file"])
+    def test_flag_wins_over_config(self, tmp_path, flag, capsys):
+        data = _orbium_rule_with(lambda r: r.update(name="mine"))
+        value = "Orbium" if flag == "--rule" else self.rule_file(tmp_path, data)
+        stored = self.stored_rule(tmp_path, flag, value, config={"rule": "s613"})
+        assert stored == ("Orbium" if flag == "--rule" else data)
+
+
+@pytest.mark.parametrize("argv, config, named", [
+    (["metrics", "--n-grids", "1", "--window", "1"], {"rule": "nope"},
+     "unknown preset 'nope'"),
+    (["metrics", "--n-grids", "1", "--window", "1"], {"rule": 3},
+     "rule must be an object"),
+    (["simulate", "--steps", "1"], {"rule": "Orbium", "side": 20},
+     "does not fit side 20"),
+], ids=["unknown-preset", "not-a-rule", "kernel-does-not-fit"])
+def test_bad_rule_in_config_is_usage_error(tmp_path, argv, config, named,
+                                           capsys):
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    out = tmp_path / "out"
+    argv = [*argv, "--config", str(tmp_path / "cfg.json"), "--out", str(out)]
+    assert main(argv) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()

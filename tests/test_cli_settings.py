@@ -1,11 +1,14 @@
-"""Property: a small setting either runs or is refused before --out exists.
+"""Property: a small setting either runs quietly or is refused before --out exists.
 
 For each subcommand, hypothesis draws small settings with zero, negative
 and below-kernel-side values mixed in, plus --config files that set
 config-only fields (and evolve-ca's mode on some draws) and, for render,
---pattern files with small tiles.
-Every run must exit 0, or exit 1 with a `cellevo: error:` message and no
---out.
+--pattern files with small tiles. simulate, metrics and evolve-pattern
+take their rule from --rule, --rule-file or the config file's `rule` key
+(a preset name or a rule object); a rule object may carry an extreme
+`mu`, `sigma`, `dt` or `core_param`.
+Every run must exit 0 with nothing on stderr, or exit 1 with a
+`cellevo: error:` message and no --out.
 """
 import contextlib
 import io
@@ -20,7 +23,7 @@ from hypothesis import strategies as st
 from cellevo.cli import main
 from cellevo.config import DEFAULT_EVO_KERNEL, MODES
 from cellevo.io import save_pattern
-from cellevo.rules import load_preset
+from cellevo.rules import load_preset, rule_to_dict
 
 RULES = ("Orbium", "s613")
 SEED = (st.integers(0, 3), st.integers(-2, -1))
@@ -43,6 +46,63 @@ def values(draw, **specs):
             for name, (usual, bad_values) in specs.items()}
 
 
+# Extreme rule parameters: they overflow on the way to an exact result,
+# or lie out of range. BUMP_CHANGES are updates to one growth bump.
+BUMP_CHANGES = ({"sigma": 5e-324}, {"sigma": 1e-300}, {"sigma": 1e-200},
+                {"sigma": 1e308}, {"sigma": 0.0}, {"sigma": -1.0},
+                {"mu": 1e308, "sigma": 1e-300}, {"mu": -1e308}, {"mu": 1e308},
+                {"mu": math.inf}, {"sigma": math.nan})
+DTS = (0.0, 1.0, 5e-324, 1.0000000000000002, -0.1, math.nan)
+CORE_PARAMS = (1e308, 1e-300, 5e-324, 0.0, math.inf)
+RULE_FILE = "rule.json"  # a --rule-file, written in the example's directory
+
+
+@st.composite
+def extreme_rule(draw, name):
+    """Preset `name` as a rule object with one extreme parameter."""
+    rule = rule_to_dict(load_preset(name))
+    change = draw(st.sampled_from(["bump", "dt", "core_param"]))
+    if change == "bump":
+        bumps = [k for k in ("growth", "genesis", "persistence") if k in rule]
+        rule[draw(st.sampled_from(bumps))].update(draw(st.sampled_from(BUMP_CHANGES)))
+    elif change == "dt":
+        rule["dt"] = draw(st.sampled_from(DTS))
+    else:
+        rule["kernel"]["core"] = draw(st.sampled_from(["lenia_shell",
+                                                       "gaussian_ring"]))
+        rule["kernel"]["core_param"] = draw(st.sampled_from(CORE_PARAMS))
+    return rule
+
+
+@st.composite
+def rule_source(draw, name, extreme=False):
+    """(argv, config) giving preset `name` through --rule, --rule-file or
+    the config file's `rule` key (a name or an object); a flag may
+    override another rule in the config file. With `extreme`, the rule is
+    an object with one extreme parameter. A --rule-file's content is the
+    config's RULE_FILE entry."""
+    routes = ["--rule-file", "config-object"]
+    if not extreme:
+        routes += ["--rule", "config-name"]
+    route = draw(st.sampled_from(routes))
+    config = {}
+    if route.startswith("--") and draw(st.booleans()):
+        config["rule"] = draw(st.sampled_from(RULES))  # the flag wins
+    if route == "--rule":
+        return ["--rule", name], config
+    if route == "config-name":
+        return [], {"rule": name}
+    rule = draw(extreme_rule(name)) if extreme else rule_to_dict(load_preset(name))
+    if route == "config-object":
+        return [], {"rule": rule}
+    return ["--rule-file", RULE_FILE], {**config, RULE_FILE: rule}
+
+
+def rules_from(name):
+    """A `values` spec: usual rules, and rule objects with an extreme value."""
+    return rule_source(name), rule_source(name, extreme=True)
+
+
 def flags(**values):
     argv = []
     for name, value in values.items():
@@ -51,17 +111,19 @@ def flags(**values):
 
 
 # Each strategy draws (argv, config dict or None, pattern or None); a
-# pattern is (tile, preset name).
+# pattern is (tile, preset name). A config key RULE_FILE is not part of
+# the config: it holds the content of the --rule-file.
 
 @st.composite
 def simulate(draw):
     rule = draw(st.sampled_from(RULES))
     v = draw(values(seed=SEED, side=ints(kernel_side(rule), 64),
                     steps=ints(0, 8), patch_side=ints(0, 32),
-                    frames_every=ints(0, 4)))
+                    frames_every=ints(0, 4), rule=rules_from(rule)))
     init = draw(st.sampled_from(["patch", "uniform"]))
-    argv = ["simulate", "--rule", rule, "--init", init, *flags(**v)]
-    return argv, None, None
+    rule_argv, config = v.pop("rule")
+    argv = ["simulate", *rule_argv, "--init", init, *flags(**v)]
+    return argv, config, None
 
 
 @st.composite
@@ -90,9 +152,12 @@ def evolve_pattern(draw):
         generations=ints(1, 2), workers=ints(1, 2), stride=ints(1, 1),
         weight_std=(st.floats(0.0, 0.5),
                     st.sampled_from([-1.0, math.nan, math.inf])),
-        act_prob=(st.floats(0.0, 1.0), st.sampled_from([-0.5, 2.0, math.nan]))))
-    config = {name: v.pop(name) for name in ("stride", "weight_std", "act_prob")}
-    return ["evolve-pattern", "--rule", rule, *flags(**v)], config, None
+        act_prob=(st.floats(0.0, 1.0), st.sampled_from([-0.5, 2.0, math.nan])),
+        rule=rules_from(rule)))
+    rule_argv, config = v.pop("rule")
+    config.update((name, v.pop(name)) for name in ("stride", "weight_std",
+                                                   "act_prob"))
+    return ["evolve-pattern", *rule_argv, *flags(**v)], config, None
 
 
 @st.composite
@@ -100,8 +165,10 @@ def metrics(draw):
     rule = draw(st.sampled_from(RULES))
     v = draw(values(seed=SEED, grid_side=ints(kernel_side(rule), 64),
                     n_grids=ints(1, 8), patch_side=ints(1, 16),
-                    box_side=ints(1, 16), window=ints(1, 8)))
-    return ["metrics", "--rule", rule, *flags(**v)], None, None
+                    box_side=ints(1, 16), window=ints(1, 8),
+                    rule=rules_from(rule)))
+    rule_argv, config = v.pop("rule")
+    return ["metrics", *rule_argv, *flags(**v)], config, None
 
 
 @st.composite
@@ -127,6 +194,10 @@ def test_small_setting_runs_or_is_refused_before_out(tmp_path_factory,
                                                      command, data):
     argv, config, pattern = data.draw(COMMANDS[command])
     tmp = tmp_path_factory.mktemp(command)  # fresh per example
+    if config and RULE_FILE in config:
+        config = dict(config)
+        (tmp / RULE_FILE).write_text(json.dumps(config.pop(RULE_FILE)))
+        argv = [str(tmp / a) if a == RULE_FILE else a for a in argv]
     if config is not None:
         (tmp / "config.json").write_text(json.dumps(config))
         argv = [*argv, "--config", str(tmp / "config.json")]
@@ -141,6 +212,8 @@ def test_small_setting_runs_or_is_refused_before_out(tmp_path_factory,
         code = main([*argv, "--out", str(out)])
     event(f"exit {code}")
     assert code in (0, 1), err.getvalue()
-    if code == 1:
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
         assert err.getvalue().startswith("cellevo: error:")
         assert not out.exists()

@@ -9,7 +9,6 @@ from cellevo.io import (
     grid_to_pgm,
     load_history,
     load_pattern,
-    load_rule,
     save_history,
     save_metrics,
     save_metrics_csv,
@@ -24,6 +23,7 @@ from cellevo.rules import (
     RuleParams,
     load_preset,
     preset_names,
+    rule_from_dict,
 )
 
 
@@ -38,12 +38,12 @@ class TestRuleFiles:
     def test_round_trip(self, tmp_path):
         rule = small_rule()
         p = save_rule(rule, tmp_path / "r.json")
-        assert load_rule(p) == rule
+        assert rule_from_dict(json.loads(p.read_text())) == rule
 
     def test_preset_round_trip(self, tmp_path):
         rule = load_preset("s7")
         p = save_rule(rule, tmp_path / "r.json")
-        assert load_rule(p) == rule
+        assert rule_from_dict(json.loads(p.read_text())) == rule
 
     @pytest.mark.parametrize("name", preset_names())
     def test_saved_preset_matches_shipped_file(self, tmp_path, name):
@@ -55,7 +55,7 @@ class TestRuleFiles:
         p = tmp_path / "r.json"
         p.write_text("[1, 2]")
         with pytest.raises(ValueError, match="object"):
-            load_rule(p)
+            rule_from_dict(json.loads(p.read_text()))
 
 
 class TestHistoryFiles:

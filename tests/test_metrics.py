@@ -1,4 +1,6 @@
 """Mortality/fertility ratios over seeded grid batches."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -77,17 +79,17 @@ class TestEscaped:
 
 class TestComputeMetrics:
     def test_always_decay(self):
-        rep = compute_metrics(ALWAYS_DECAY, TINY, seed=0)
+        rep = compute_metrics(replace(TINY, rule=ALWAYS_DECAY), seed=0)
         assert rep.mortality == (1.0, 1.0)
         assert rep.fertility == (0.0, 0.0)
 
     def test_frozen_rule(self):
-        rep = compute_metrics(lenia(0.15, 0.015, dt=0.0), TINY, seed=0)
+        rep = compute_metrics(replace(TINY, rule=lenia(0.15, 0.015, dt=0.0)), seed=0)
         assert rep.mortality == (0.0, 0.0)
         assert rep.fertility == (0.0, 0.0)
 
     def test_always_grow_escapes_every_window(self):
-        rep = compute_metrics(ALWAYS_GROW, TINY, seed=0)
+        rep = compute_metrics(replace(TINY, rule=ALWAYS_GROW), seed=0)
         assert rep.mortality == (0.0, 0.0)
         assert rep.fertility == (1.0, 1.0)
 
@@ -99,9 +101,10 @@ class TestComputeMetrics:
             genesis=GrowthBump(0.2, 0.02), persistence=GrowthBump(9.0, 0.1),
         )
         cfg = MetricsConfig(
-            n_grids=8, grid_side=32, patch_side=8, box_side=10, window=64
+            n_grids=8, grid_side=32, patch_side=8, box_side=10, window=64,
+            rule=rule,
         )
-        rep = compute_metrics(rule, cfg, seed=0)
+        rep = compute_metrics(cfg, seed=0)
         assert rep.fertility[0] > 0.0
         assert rep.fertility[1] == 0.0
         assert rep.mortality == (1.0, 1.0)
@@ -113,7 +116,7 @@ class TestComputeMetrics:
         for name in ("Orbium", "s7", "s613"):
             rule = load_preset(name)
             assert rule.zero_is_absorbing()
-            rep = compute_metrics(rule, cfg, seed=1)
+            rep = compute_metrics(replace(cfg, rule=rule), seed=1)
             assert rep.mortality[1] >= rep.mortality[0]
 
     def test_matches_reference_implementation(self, request):
@@ -124,7 +127,7 @@ class TestComputeMetrics:
         cfg = MetricsConfig(
             n_grids=6, grid_side=32, patch_side=8, box_side=12, window=12
         )
-        reps = [compute_metrics(rule, cfg, seed=3) for rule in rules]
+        reps = [compute_metrics(replace(cfg, rule=rule), seed=3) for rule in rules]
         request.getfixturevalue("shift_add")  # the reference convolves exactly
         p = cfg.patch_side
         grids = [place_centered(cfg.grid_side, substream(3, i).random((p, p)))
@@ -136,12 +139,12 @@ class TestComputeMetrics:
             assert rep.mortality == mort
 
     def test_deterministic(self):
-        a = compute_metrics(lenia(0.3, 0.05), TINY, seed=7)
-        b = compute_metrics(lenia(0.3, 0.05), TINY, seed=7)
+        a = compute_metrics(replace(TINY, rule=lenia(0.3, 0.05)), seed=7)
+        b = compute_metrics(replace(TINY, rule=lenia(0.3, 0.05)), seed=7)
         assert a == b
 
     def test_fractions_in_range(self):
-        rep = compute_metrics(lenia(0.25, 0.08), TINY, seed=2)
+        rep = compute_metrics(replace(TINY, rule=lenia(0.25, 0.08)), seed=2)
         for v in (*rep.fertility, *rep.mortality):
             assert 0.0 <= v <= 1.0
 

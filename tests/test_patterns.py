@@ -11,7 +11,6 @@ from cellevo.patterns import (
     CppnGenome,
     PatternFitness,
     TruncationGA,
-    check_tile,
     evaluate_tiles,
     evolve_patterns,
     mutate,
@@ -34,7 +33,8 @@ FROZEN_RULE = RuleParams(
     "frozen", "lenia", SMALL_KERNEL, 0.0, growth=GrowthBump(0.15, 0.015)
 )
 FAST_CFG = PatternEvoConfig(
-    grid_side=24, tile_side=12, steps=8, stride=4, population=6, generations=3
+    grid_side=24, tile_side=12, steps=8, stride=4, population=6, generations=3,
+    rule=SMALL_RULE,
 )
 
 
@@ -44,8 +44,8 @@ def center_of_mass(grid):
     return float(row), float(col)
 
 
-def evaluate_tile(tile, rule, cfg):
-    return evaluate_tiles([tile], rule, cfg)[0]
+def evaluate_tile(tile, cfg):
+    return evaluate_tiles([tile], cfg)[0]
 
 
 @pytest.fixture
@@ -222,8 +222,9 @@ class TestCenterOfMass:
 class TestEvaluate:
     def test_frozen_rule_zero_motility(self):
         tile = np.full((8, 8), 0.5)
-        cfg = PatternEvoConfig(grid_side=24, tile_side=8, steps=8, stride=4)
-        fit = evaluate_tile(tile, FROZEN_RULE, cfg)
+        cfg = PatternEvoConfig(grid_side=24, tile_side=8, steps=8, stride=4,
+                               rule=FROZEN_RULE)
+        fit = evaluate_tile(tile, cfg)
         assert fit.motility == 0.0
         assert fit.homeostasis_penalty == 0.0
         assert fit.survived
@@ -231,16 +232,18 @@ class TestEvaluate:
 
     def test_vanishing_tile_penalized(self):
         tile = np.zeros((8, 8))
-        cfg = PatternEvoConfig(grid_side=24, tile_side=8, steps=8, stride=4)
-        fit = evaluate_tile(tile, SMALL_RULE, cfg)
+        cfg = PatternEvoConfig(grid_side=24, tile_side=8, steps=8, stride=4,
+                               rule=SMALL_RULE)
+        fit = evaluate_tile(tile, cfg)
         assert not fit.survived
         assert fit.total == -1000.0
 
     @pytest.mark.usefixtures("shift_right")
     def test_translation_double_gives_exact_motility(self):
         tile = np.full((10, 10), 0.7)
-        cfg = PatternEvoConfig(grid_side=128, tile_side=10, steps=64, stride=8)
-        fit = evaluate_tile(tile, SMALL_RULE, cfg)
+        cfg = PatternEvoConfig(grid_side=128, tile_side=10, steps=64, stride=8,
+                               rule=SMALL_RULE)
+        fit = evaluate_tile(tile, cfg)
         assert fit.motility == pytest.approx(64.0, abs=1e-6)
         assert fit.survived
         assert fit.homeostasis_penalty == pytest.approx(0.0, abs=1e-12)
@@ -250,16 +253,18 @@ class TestEvaluate:
         # 128 steps on a 128-wide torus: ends where it started, but the
         # accumulated wrapped deltas measure a full lap.
         tile = np.full((10, 10), 0.7)
-        cfg = PatternEvoConfig(grid_side=128, tile_side=10, steps=128, stride=8)
-        fit = evaluate_tile(tile, SMALL_RULE, cfg)
+        cfg = PatternEvoConfig(grid_side=128, tile_side=10, steps=128, stride=8,
+                               rule=SMALL_RULE)
+        fit = evaluate_tile(tile, cfg)
         assert fit.motility == pytest.approx(128.0, abs=1e-6)
 
     @pytest.mark.usefixtures("shift_right")
     def test_off_stride_last_step_is_a_checkpoint(self):
         # Checkpoints at steps 4, 8 and 10: the last two shifts count too.
         tile = np.full((10, 10), 0.7)
-        cfg = PatternEvoConfig(grid_side=64, tile_side=10, steps=10, stride=4)
-        fit = evaluate_tile(tile, SMALL_RULE, cfg)
+        cfg = PatternEvoConfig(grid_side=64, tile_side=10, steps=10, stride=4,
+                               rule=SMALL_RULE)
+        fit = evaluate_tile(tile, cfg)
         assert fit.motility == pytest.approx(10.0, abs=1e-6)
 
     def test_batch_matches_single_bitwise(self):
@@ -270,10 +275,11 @@ class TestEvaluate:
             np.full((12, 12), 0.4),
         ]
         before = [tile.copy() for tile in tiles]
-        cfg = PatternEvoConfig(grid_side=32, tile_side=12, steps=12, stride=4)
-        batch = evaluate_tiles(tiles, SMALL_RULE, cfg)
+        cfg = PatternEvoConfig(grid_side=32, tile_side=12, steps=12, stride=4,
+                               rule=SMALL_RULE)
+        batch = evaluate_tiles(tiles, cfg)
         for tile, got in zip(tiles, batch):
-            alone = evaluate_tile(tile, SMALL_RULE, cfg)
+            alone = evaluate_tile(tile, cfg)
             assert alone == got
         for tile, copy in zip(tiles, before):
             assert np.array_equal(tile, copy) and tile.flags.writeable
@@ -283,8 +289,9 @@ class TestEvaluate:
         # tile is exactly 0 after one step, so it retires ahead of survivors.
         rng = np.random.default_rng(9)
         tiles = [np.full((12, 12), 0.05), *(rng.random((12, 12)) for _ in range(3))]
-        cfg = PatternEvoConfig(grid_side=32, tile_side=12, steps=16, stride=4)
-        fast = evaluate_tiles(tiles, SMALL_RULE, cfg)
+        cfg = PatternEvoConfig(grid_side=32, tile_side=12, steps=16, stride=4,
+                               rule=SMALL_RULE)
+        fast = evaluate_tiles(tiles, cfg)
         start = np.stack([place_centered(cfg.grid_side, t) for t in tiles])
         states = plain_trajectory(start, SMALL_RULE, cfg.steps)
         plain = reference_tile_fitness(states, cfg)
@@ -295,9 +302,9 @@ class TestEvolvePatterns:
     def test_bookkeeping_single_generation(self):
         cfg = PatternEvoConfig(
             grid_side=24, tile_side=12, steps=4, stride=2,
-            population=4, generations=1,
+            population=4, generations=1, rule=SMALL_RULE,
         )
-        res = evolve_patterns(SMALL_RULE, cfg, seed=0)
+        res = evolve_patterns(cfg, seed=0)
         assert res.evaluations == 4
         assert len(res.history) == 1
         rec = res.history[0]
@@ -306,7 +313,7 @@ class TestEvolvePatterns:
         assert rec["seed"] == 0
 
     def test_evaluation_count_with_caching(self):
-        res = evolve_patterns(SMALL_RULE, FAST_CFG, seed=1)
+        res = evolve_patterns(FAST_CFG, seed=1)
         keep = round(FAST_CFG.population * FAST_CFG.truncation)
         expected = FAST_CFG.population + (FAST_CFG.generations - 1) * (
             FAST_CFG.population - keep
@@ -314,14 +321,14 @@ class TestEvolvePatterns:
         assert res.evaluations == expected
 
     def test_best_so_far_non_decreasing(self):
-        res = evolve_patterns(SMALL_RULE, FAST_CFG, seed=2)
+        res = evolve_patterns(FAST_CFG, seed=2)
         bests = [rec["best_fitness"] for rec in res.history]
         assert all(b >= a - 1e-12 for a, b in zip(bests, bests[1:]))
         assert res.best_fitness.total == pytest.approx(max(bests))
 
     def test_deterministic(self):
-        a = evolve_patterns(SMALL_RULE, FAST_CFG, seed=5)
-        b = evolve_patterns(SMALL_RULE, FAST_CFG, seed=5)
+        a = evolve_patterns(FAST_CFG, seed=5)
+        b = evolve_patterns(FAST_CFG, seed=5)
         assert a.history == b.history
         assert np.array_equal(a.best_tile, b.best_tile)
 
@@ -361,40 +368,39 @@ class TestEvolvePatterns:
             ga.tell(genomes, [PatternFitness(0.0, 0.0, True, float(t)) for t in totals])
 
     def test_workers_do_not_change_results(self):
-        one = evolve_patterns(SMALL_RULE, FAST_CFG, seed=3, workers=1)
-        two = evolve_patterns(SMALL_RULE, FAST_CFG, seed=3, workers=2)
+        one = evolve_patterns(FAST_CFG, seed=3, workers=1)
+        two = evolve_patterns(FAST_CFG, seed=3, workers=2)
         assert one.history == two.history
         assert np.array_equal(one.best_tile, two.best_tile)
 
     def test_default_tile_side_follows_kernel(self):
         cfg = PatternEvoConfig(
-            grid_side=64, steps=4, stride=2, population=2, generations=1
+            grid_side=64, steps=4, stride=2, population=2, generations=1,
+            rule=SMALL_RULE,
         )
-        res = evolve_patterns(SMALL_RULE, cfg, seed=0)
+        res = evolve_patterns(cfg, seed=0)
         assert res.best_tile.shape == (12, 12)  # 4 * radius 3
 
     @pytest.mark.parametrize("tile_side", [1, 2, -4])
     def test_tile_below_three_is_rejected(self, tile_side):
-        cfg = PatternEvoConfig(grid_side=24, tile_side=tile_side,
-                               steps=4, stride=2, population=2, generations=1)
         with pytest.raises(ValueError, match="tile_side"):
-            check_tile(SMALL_RULE, cfg)
+            PatternEvoConfig(grid_side=24, tile_side=tile_side, steps=4,
+                             stride=2, population=2, generations=1,
+                             rule=SMALL_RULE)
 
     @pytest.mark.parametrize("tile_side, grid_side", [(0, 10), (30, 24)],
                              ids=["default-4R", "explicit"])
     def test_tile_larger_than_grid_is_rejected(self, tile_side, grid_side):
-        cfg = PatternEvoConfig(grid_side=grid_side, tile_side=tile_side,
-                               steps=4, stride=2, population=2, generations=1)
         with pytest.raises(ValueError, match="tile_side"):
-            check_tile(SMALL_RULE, cfg)
-        with pytest.raises(ValueError, match="tile_side"):
-            evolve_patterns(SMALL_RULE, cfg, seed=0)
+            PatternEvoConfig(grid_side=grid_side, tile_side=tile_side, steps=4,
+                             stride=2, population=2, generations=1,
+                             rule=SMALL_RULE)
 
     def test_real_preset_smoke(self):
         cfg = PatternEvoConfig(
             grid_side=64, tile_side=32, steps=16, stride=8,
-            population=4, generations=2,
+            population=4, generations=2, rule=load_preset("Orbium"),
         )
-        res = evolve_patterns(load_preset("Orbium"), cfg, seed=11)
+        res = evolve_patterns(cfg, seed=11)
         assert len(res.history) == 2
         assert isinstance(res.best_fitness.total, float)

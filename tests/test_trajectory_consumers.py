@@ -90,11 +90,11 @@ def test_consumers_match_plain_step_loop(rule, tiles):
         cfg = HaltingFitnessConfig(n_grids=len(grids), grid_side=SIDE, horizon=STEPS)
         labels = halting.generate_dataset(rule, cfg, 0).labels
         mcfg = MetricsConfig(n_grids=len(grids), grid_side=SIDE, patch_side=2,
-                             box_side=8, window=STEPS // 2)
-        report = metrics.compute_metrics(rule, mcfg, 0)
+                             box_side=8, window=STEPS // 2, rule=rule)
+        report = metrics.compute_metrics(mcfg, 0)
     alive = states[-1].max(axis=(-2, -1)) > halting.HALT_THRESHOLD
     assert np.array_equal(labels, alive)
     assert (report.fertility, report.mortality) == reference_metrics(states, mcfg)
 
-    pcfg = PatternEvoConfig(grid_side=SIDE, steps=STEPS, stride=EVERY)
-    assert evaluate_tiles(tiles, rule, pcfg) == reference_tile_fitness(states, pcfg)
+    pcfg = PatternEvoConfig(grid_side=SIDE, steps=STEPS, stride=EVERY, rule=rule)
+    assert evaluate_tiles(tiles, pcfg) == reference_tile_fitness(states, pcfg)
