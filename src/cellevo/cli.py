@@ -23,7 +23,7 @@ from .config import (
     load_config_file,
 )
 from .grid import place_centered, seeded_patches, substream
-from .halting import evolve_rules
+from .halting import evolve_rules, genome_to_rule
 from .io import (
     load_pattern,
     save_history,
@@ -182,7 +182,9 @@ def _cmd_evolve_ca(args) -> int:
     cfg, out = _setup(args)
     result = evolve_rules(cfg, args.seed, workers=args.workers)
     save_history(result.history, out / "history.jsonl")
-    save_rule(result.best_rule, out / "best_rule.json")
+    rule = genome_to_rule(result.best, cfg.kernel, cfg.dt,
+                          name=f"evolved_{cfg.mode}")
+    save_rule(rule, out / "best_rule.json")
     print(
         f"{cfg.mode}: {cfg.generations} generations, {result.evaluations}"
         f" evaluations, best fitness {result.best_fitness:.6g} -> {out}"
@@ -201,7 +203,7 @@ def _cmd_evolve_pattern(args) -> int:
     save_pattern(
         out / "best_pattern.json",
         name=f"{rule.name}-evolved-{args.seed}",
-        tile=result.best_tile,
+        tile=synthesize(result.best, cfg.resolved_tile_side),
         rule=rule.name if named else rule,
     )
     best = result.best_fitness

@@ -89,8 +89,8 @@ class CmaEs:
         y = (z * self._sqrt_vals) @ self._eigvecs.T
         return self.mean + self.sigma * y
 
-    def tell(self, candidates, fitnesses) -> None:
-        """Rank by fitness (descending) and update all strategy state."""
+    def tell(self, candidates, fitnesses):
+        """Rank by fitness (descending), update all state; return both arrays."""
         xs = np.asarray(candidates, dtype=np.float64)
         fs = np.asarray(fitnesses, dtype=np.float64)
         if xs.shape != (self.popsize, self.dim):
@@ -138,3 +138,4 @@ class CmaEs:
         norm = float(np.linalg.norm(self.path_sigma))
         self.sigma *= math.exp((self.cs / self.damps) * (norm / self.chi_n - 1))
         self._decompose()
+        return xs, fs

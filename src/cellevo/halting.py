@@ -27,7 +27,7 @@ from . import predictor as pred
 from .cmaes import CmaEs, default_popsize
 from .config import EvolveCaConfig, HaltingFitnessConfig
 from .grid import seed_path, seeded_patches, substream
-from .parallel import run_search
+from .parallel import SearchResult, run_search
 from .rules import GLABERISH, GrowthBump, KernelSpec, RuleParams, trajectory
 
 HALT_THRESHOLD = 1e-6
@@ -149,15 +149,6 @@ def genome_to_rule(
 
 # --- evolution loop ----------------------------------------------------------
 
-@dataclass
-class EvolveCaResult:
-    best_rule: RuleParams
-    best_raw: np.ndarray
-    best_fitness: float
-    history: list[dict]
-    evaluations: int
-
-
 def _evaluate(args) -> float:
     """Worker for one candidate: its fitness, which may be non-finite."""
     raw, cfg, eval_seed, fitness_fn = args
@@ -185,12 +176,13 @@ class UniformSearch:
                 for i in range(self.popsize)]
         return _logit(np.clip(unit, 1e-9, 1 - 1e-9))
 
-    def tell(self, candidates, fitnesses) -> None:
+    def tell(self, candidates, fitnesses):
         self.generation += 1
+        return candidates, fitnesses
 
 
 def evolve_rules(cfg: EvolveCaConfig, seed: int, fitness_fn=None,
-                 workers: int = 1) -> EvolveCaResult:
+                 workers: int = 1) -> SearchResult:
     """Run one evolution: CMA-ES for simple/predictor, uniform for random.
 
     `parallel.run_search` drives either strategy through ask/tell, and
@@ -198,7 +190,7 @@ def evolve_rules(cfg: EvolveCaConfig, seed: int, fitness_fn=None,
     (seed, g, i), so any evaluation schedule gives identical results.
     fitness_fn(raw, eval_seed), when given, replaces the built-in fitness.
     A non-finite fitness is told as -1 and counted in n_nonfinite. The
-    best result is the first history entry with the top best_fitness.
+    result's best is a raw genome; `genome_to_rule` turns it into a rule.
     """
     lam = cfg.popsize or default_popsize(GENOME_DIM)
     if cfg.mode == "random":
@@ -221,22 +213,9 @@ def evolve_rules(cfg: EvolveCaConfig, seed: int, fitness_fn=None,
         n_nonfinite.append(int(nonfinite.sum()))
         return fits
 
-    def record(cands, fits):
-        gi = int(np.argmax(fits))
-        return {
-            "best_fitness": float(fits[gi]),
-            "mean_fitness": float(fits.mean()),
-            "best_genome": [float(v) for v in cands[gi]],
-            "n_nonfinite": n_nonfinite[-1],
-            "mode": cfg.mode,
-            "seed": seed,
-        }
+    def describe(genome, fitness):
+        return {"best_genome": [float(v) for v in genome],
+                "n_nonfinite": n_nonfinite[-1], "mode": cfg.mode, "seed": seed}
 
-    history, evaluations = run_search(strategy, cfg.generations, evaluate, record,
-                                      min(workers, lam))
-    best = max(history, key=lambda h: h["best_fitness"])
-    best_raw = np.array(best["best_genome"])
-    best_rule = genome_to_rule(best_raw, cfg.kernel, cfg.dt,
-                               name=f"evolved_{cfg.mode}")
-    return EvolveCaResult(best_rule, best_raw, best["best_fitness"], history,
-                          evaluations)
+    return run_search(strategy, cfg.generations, evaluate, describe,
+                      min(workers, lam))

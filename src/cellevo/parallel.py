@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import ctypes
 from contextlib import contextmanager
+from dataclasses import dataclass
+
+import numpy as np
 
 # (set, get) thread-count functions of the OpenBLAS that numpy wheels
 # bundle (scipy-openblas64) and of a system OpenBLAS.
@@ -88,17 +91,35 @@ def worker_pool(workers: int):
             yield pool.map
 
 
-def run_search(strategy, generations: int, evaluate, record, workers: int):
-    """Run ask -> evaluate(g, candidates, pool_map) -> tell -> record for
-    generations g = 1, 2, ... on one pool; return the history, whose entry g
-    is {"generation": g, **record(candidates, scores)}, and the evaluations.
+@dataclass
+class SearchResult:
+    best: object  # the run's best member
+    best_fitness: object  # its score; float(score) is its total
+    history: list[dict]
+    evaluations: int
+
+
+def run_search(strategy, generations: int, evaluate, describe,
+               workers: int) -> SearchResult:
+    """Run ask -> evaluate(g, candidates, pool_map) -> tell for generations
+    g = 1, 2, ... on one pool. `tell` returns the members the strategy now
+    ranks and their scores, whose float() is a total. History entry g holds
+    the totals' max and mean, then describe(member, score) of the first
+    member with that max. The run's best is the first member to reach the
+    run's top total; a later tie does not displace it.
     """
-    history, evaluations = [], 0
+    result = SearchResult(None, None, [], 0)
     with worker_pool(workers) as pool_map:
         for gen in range(1, generations + 1):
             candidates = strategy.ask()
             scores = evaluate(gen, candidates, pool_map)
-            strategy.tell(candidates, scores)
-            evaluations += len(candidates)
-            history.append({"generation": gen, **record(candidates, scores)})
-    return history, evaluations
+            members, scores = strategy.tell(candidates, scores)
+            result.evaluations += len(candidates)
+            totals = np.array([float(s) for s in scores])
+            i = int(np.argmax(totals))
+            if gen == 1 or totals[i] > float(result.best_fitness):
+                result.best, result.best_fitness = members[i], scores[i]
+            record = {"generation": gen, "best_fitness": float(totals[i]),
+                      "mean_fitness": float(totals.mean())}
+            result.history.append({**record, **describe(members[i], scores[i])})
+    return result

@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import PatternEvoConfig
 from .grid import place_centered, substream
-from .parallel import run_search
+from .parallel import SearchResult, run_search
 from .predictor import sigmoid
 from .rules import trajectory
 
@@ -138,6 +138,9 @@ class PatternFitness:
     survived: bool  # max cell above threshold at every checkpoint
     total: float
 
+    def __float__(self) -> float:
+        return self.total
+
 
 def evaluate_tiles(tiles, cfg: PatternEvoConfig) -> list[PatternFitness]:
     """Score a batch of tiles under cfg.rule; results are per-tile independent.
@@ -183,14 +186,6 @@ def evaluate_tiles(tiles, cfg: PatternEvoConfig) -> list[PatternFitness]:
 
 # --- evolution ---------------------------------------------------------------
 
-@dataclass
-class PatternEvoResult:
-    best_tile: np.ndarray
-    best_fitness: PatternFitness
-    history: list[dict]
-    evaluations: int
-
-
 def _eval_chunk(args):
     return evaluate_tiles(*args)  # (tiles, cfg)
 
@@ -224,46 +219,36 @@ class TruncationGA:
             offspring.append(mutate(parent, rng, cfg.weight_std, cfg.act_prob))
         return offspring
 
-    def tell(self, genomes, fitnesses) -> None:
+    def tell(self, genomes, fitnesses):
         self.population += genomes
         self.fitnesses += fitnesses
         self.generation += 1
+        return self.population, self.fitnesses
 
 
 def evolve_patterns(cfg: PatternEvoConfig, seed: int,
-                    workers: int = 1) -> PatternEvoResult:
+                    workers: int = 1) -> SearchResult:
     """Truncation GA under cfg.rule: keep the top quarter, refill with
     mutated survivors.
 
     `parallel.run_search` drives a `TruncationGA` through ask/tell and
     scores each generation's new genomes as one evaluate_tiles batch per
     worker. Offspring in slot i of generation g draw parent choice and
-    mutation noise from the (seed, g, i) stream.
+    mutation noise from the (seed, g, i) stream. The result's best is a
+    genome; `synthesize` paints its tile.
     """
-    tile_side = cfg.resolved_tile_side
     ga = TruncationGA(cfg, seed)
 
     def evaluate(gen, genomes, pool_map):
-        tiles = [synthesize(g, tile_side) for g in genomes]
+        tiles = [synthesize(g, cfg.resolved_tile_side) for g in genomes]
         chunks = np.array_split(np.arange(len(tiles)), min(workers, len(tiles)))
         jobs = [([tiles[i] for i in chunk], cfg) for chunk in chunks]
         return [fit for part in pool_map(_eval_chunk, jobs) for fit in part]
 
-    def record(genomes, fitnesses):
-        totals = np.array([f.total for f in ga.fitnesses])
-        best = ga.fitnesses[int(np.argmax(totals))]
-        return {
-            "best_fitness": float(totals.max()),
-            "mean_fitness": float(totals.mean()),
-            "best_motility": best.motility,
-            "best_homeostasis": best.homeostasis_penalty,
-            "best_survived": best.survived,
-            "mode": "pattern",
-            "seed": seed,
-        }
+    def describe(genome, fit):
+        return {"best_motility": fit.motility,
+                "best_homeostasis": fit.homeostasis_penalty,
+                "best_survived": fit.survived, "mode": "pattern", "seed": seed}
 
-    history, evaluations = run_search(ga, cfg.generations, evaluate, record,
-                                      min(workers, cfg.population))
-    best = max(range(cfg.population), key=lambda i: ga.fitnesses[i].total)
-    return PatternEvoResult(synthesize(ga.population[best], tile_side),
-                            ga.fitnesses[best], history, evaluations)
+    return run_search(ga, cfg.generations, evaluate, describe,
+                      min(workers, cfg.population))

@@ -40,8 +40,9 @@ def ints(low, high):
 
 @st.composite
 def values(draw, **specs):
-    """One value per (usual, bad) spec; at most one is drawn from its bad values."""
-    bad = draw(st.sampled_from([None, *specs]))
+    """One value per (usual, bad) spec. Half the draws take every value from
+    its usual values; the other half take one spec's value from its bad ones."""
+    bad = draw(st.sampled_from(list(specs))) if draw(st.booleans()) else None
     return {name: draw(bad_values if name == bad else usual)
             for name, (usual, bad_values) in specs.items()}
 
@@ -176,8 +177,10 @@ def render(draw):
     tile = st.builds(np.full, st.tuples(st.integers(1, 4), st.integers(1, 4)),
                      st.floats(0.0, 1.0))
     pattern = draw(st.none() | st.tuples(tile, st.sampled_from(RULES)))
-    rule = pattern[1] if pattern else "Orbium"
-    v = draw(values(seed=SEED, grid_side=ints(kernel_side(rule), 64),
+    # Without a pattern, render paints a 4 * radius demo tile under Orbium.
+    low = (kernel_side(pattern[1]) if pattern
+           else 4 * load_preset("Orbium").kernel.radius)
+    v = draw(values(seed=SEED, grid_side=ints(low, 64),
                     steps=ints(0, 8), every=ints(1, 4)))
     return ["render", *flags(**v)], None, pattern
 

@@ -294,12 +294,12 @@ class TestEvolveRules:
     def test_landscape_oracle_recovers_zero(self):
         cfg = EvolveCaConfig(generations=150, kernel=SMALL_KERNEL, sigma0=1.0)
         res = evolve_rules(cfg, seed=1, fitness_fn=quadratic_fitness)
-        assert abs(res.best_raw[0]) < 1e-6
+        assert abs(res.best[0]) < 1e-6
 
     def test_random_mode_stays_in_bounds(self):
         cfg = EvolveCaConfig(mode="random", generations=3, kernel=SMALL_KERNEL)
         res = evolve_rules(cfg, seed=8, fitness_fn=quadratic_fitness)
-        assert res.best_rule.framework == "glaberish"
+        assert genome_to_rule(res.best, cfg.kernel, cfg.dt).framework == "glaberish"
         for rec in res.history:
             vals = squash_genome(np.array(rec["best_genome"]))
             assert 0.0 < vals[0] < 1.0
@@ -349,7 +349,7 @@ class TestEvolveRules:
         a = evolve_rules(FAST_EVO, seed=6)
         b = evolve_rules(FAST_EVO, seed=6)
         assert a.history == b.history
-        assert np.array_equal(a.best_raw, b.best_raw)
+        assert np.array_equal(a.best, b.best)
 
     def test_workers_do_not_change_results(self):
         one = evolve_rules(FAST_EVO, seed=4, workers=1)
@@ -366,7 +366,7 @@ class TestEvolveRules:
         one = evolve_rules(cfg, seed=9, workers=1)
         two = evolve_rules(cfg, seed=9, workers=2)
         assert one.history == two.history
-        assert one.best_raw.tobytes() == two.best_raw.tobytes()
+        assert one.best.tobytes() == two.best.tobytes()
 
     def test_random_mode_workers_do_not_change_results(self):
         cfg = EvolveCaConfig(mode="random", generations=3, popsize=5,
@@ -374,7 +374,7 @@ class TestEvolveRules:
         one = evolve_rules(cfg, seed=11, fitness_fn=quadratic_fitness, workers=1)
         two = evolve_rules(cfg, seed=11, fitness_fn=quadratic_fitness, workers=2)
         assert one.history == two.history
-        assert one.best_raw.tobytes() == two.best_raw.tobytes()
+        assert one.best.tobytes() == two.best.tobytes()
         assert one.best_fitness == two.best_fitness
 
     @pytest.mark.parametrize("mode", ["simple", "random"])
@@ -389,13 +389,14 @@ class TestEvolveRules:
         cfg = EvolveCaConfig(mode=mode, generations=4, kernel=SMALL_KERNEL)
         res = evolve_rules(cfg, seed=7, fitness_fn=constant)
         assert res.best_fitness == -0.5
-        assert res.best_raw.tobytes() == first[(7, 1, 0)].tobytes()
+        assert res.best.tobytes() == first[(7, 1, 0)].tobytes()
         assert res.history[0]["best_genome"] == list(first[(7, 1, 0)])
 
     def test_simple_real_fitness_end_to_end(self):
         res = evolve_rules(FAST_EVO, seed=7)
         assert -0.25 <= res.best_fitness <= 0.0
-        assert res.best_rule.framework == "glaberish"
+        rule = genome_to_rule(res.best, FAST_EVO.kernel, FAST_EVO.dt)
+        assert rule.framework == "glaberish"
 
     def test_builtin_fitness_stream_layout(self, monkeypatch):
         # Candidate i of generation g builds its dataset from (seed, g, i, 0)

@@ -1,14 +1,20 @@
-"""BLAS threading of worker_pool: one OpenBLAS thread in every process."""
+"""worker_pool runs one OpenBLAS thread in every process; run_search keeps
+the first member to reach a run's top total."""
 import ctypes
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np  # noqa: F401  (loads OpenBLAS into this process)
+import numpy as np  # also loads OpenBLAS into this process
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cellevo.parallel import worker_pool
+from cellevo.config import EvolveCaConfig, PatternEvoConfig
+from cellevo.halting import evolve_rules
+from cellevo.parallel import run_search, worker_pool
+from cellevo.patterns import PatternFitness, TruncationGA
 
 THREAD_FUNCS = {
     "scipy_openblas_get_num_threads64_": "scipy_openblas_set_num_threads64_",
@@ -87,3 +93,43 @@ def test_importing_the_cli_loads_no_process_pool():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+TOTALS = (-1.0, 0.0, 1.0)  # three values, so ties are common
+
+
+def drawn_total(salt, *path):
+    return TOTALS[int(np.random.default_rng([salt, *path]).integers(3))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(salt=st.integers(0, 2**32 - 1), population=st.integers(2, 9),
+       truncation=st.sampled_from([0.1, 0.25, 0.5]),
+       generations=st.integers(1, 6))
+def test_ga_best_is_final_population_argmax(salt, population, truncation,
+                                            generations):
+    cfg = PatternEvoConfig(population=population, truncation=truncation,
+                           generations=generations)
+    ga = TruncationGA(cfg, salt)
+
+    def evaluate(gen, genomes, pool_map):
+        return [PatternFitness(0.0, 0.0, True, drawn_total(salt, gen, i))
+                for i in range(len(genomes))]
+
+    result = run_search(ga, generations, evaluate, lambda m, s: {}, workers=1)
+    best = int(np.argmax([f.total for f in ga.fitnesses]))
+    assert result.best is ga.population[best]
+    assert result.best_fitness is ga.fitnesses[best]
+
+
+@settings(max_examples=40, deadline=None)
+@given(salt=st.integers(0, 2**32 - 1), mode=st.sampled_from(["simple", "random"]),
+       popsize=st.integers(2, 6), generations=st.integers(1, 6))
+def test_rule_best_is_first_history_entry_with_top_fitness(salt, mode, popsize,
+                                                           generations):
+    # simple mode runs CmaEs, random mode UniformSearch.
+    cfg = EvolveCaConfig(mode=mode, popsize=popsize, generations=generations)
+    result = evolve_rules(cfg, salt, lambda raw, path: drawn_total(salt, *path))
+    top = max(result.history, key=lambda h: h["best_fitness"])
+    assert [float(v) for v in result.best] == top["best_genome"]
+    assert result.best_fitness == top["best_fitness"]

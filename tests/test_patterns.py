@@ -330,7 +330,7 @@ class TestEvolvePatterns:
         a = evolve_patterns(FAST_CFG, seed=5)
         b = evolve_patterns(FAST_CFG, seed=5)
         assert a.history == b.history
-        assert np.array_equal(a.best_tile, b.best_tile)
+        assert np.array_equal(synthesize(a.best, 12), synthesize(b.best, 12))
 
     def test_genome_stream_layout(self, monkeypatch):
         # Initial genome i comes from (seed, 0, i); offspring slot i of the
@@ -371,7 +371,7 @@ class TestEvolvePatterns:
         one = evolve_patterns(FAST_CFG, seed=3, workers=1)
         two = evolve_patterns(FAST_CFG, seed=3, workers=2)
         assert one.history == two.history
-        assert np.array_equal(one.best_tile, two.best_tile)
+        assert np.array_equal(synthesize(one.best, 12), synthesize(two.best, 12))
 
     def test_default_tile_side_follows_kernel(self):
         cfg = PatternEvoConfig(
@@ -379,7 +379,7 @@ class TestEvolvePatterns:
             rule=SMALL_RULE,
         )
         res = evolve_patterns(cfg, seed=0)
-        assert res.best_tile.shape == (12, 12)  # 4 * radius 3
+        assert synthesize(res.best, cfg.resolved_tile_side).shape == (12, 12)  # 4 * radius 3
 
     @pytest.mark.parametrize("tile_side", [1, 2, -4])
     def test_tile_below_three_is_rejected(self, tile_side):
