@@ -98,23 +98,32 @@ def seeded_patches(count: int, side: int, patch_side: int, seed) -> np.ndarray:
     """A seeded starting batch: grids (count, side, side).
 
     Grid i is place_centered(side, substream(seed, i).random((p, p))) with
-    p = patch_side, or side // 2 when patch_side is 0.
+    p = patch_side, or side // 2 when patch_side is 0. Each patch is
+    written into one zeroed batch, so the batch is never held twice.
     """
     p = patch_side or side // 2
-    return np.stack([place_centered(side, substream(seed, i).random((p, p)))
-                     for i in range(count)])
+    grids = np.zeros((count, side, side))
+    at = centered(side, (p, p))
+    for i in range(count):
+        grids[i][at] = substream(seed, i).random((p, p))
+    return grids
+
+
+def centered(side: int, shape: tuple[int, int]) -> tuple[slice, slice]:
+    """The slices of a side x side grid that center an (h, w) tile."""
+    th, tw = shape
+    if th > side or tw > side:
+        raise ValueError(f"tile {th}x{tw} does not fit grid side {side}")
+    r0 = (side - th) // 2
+    c0 = (side - tw) // 2
+    return slice(r0, r0 + th), slice(c0, c0 + tw)
 
 
 def place_centered(side: int, tile: np.ndarray) -> np.ndarray:
     """Embed a (h, w) tile at the center of a zeroed side x side grid."""
     tile = np.asarray(tile, dtype=np.float64)
-    th, tw = tile.shape
-    if th > side or tw > side:
-        raise ValueError(f"tile {th}x{tw} does not fit grid side {side}")
     state = np.zeros((side, side))
-    r0 = (side - th) // 2
-    c0 = (side - tw) // 2
-    state[r0 : r0 + th, c0 : c0 + tw] = tile
+    state[centered(side, tile.shape)] = tile
     return state
 
 

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import PatternEvoConfig
-from .grid import place_centered, substream
+from .grid import centered, substream
 from .parallel import SearchResult, run_search
 from .predictor import sigmoid
 from .rules import trajectory
@@ -152,7 +152,9 @@ def evaluate_tiles(tiles, cfg: PatternEvoConfig) -> list[PatternFitness]:
     tiles = [np.asarray(t, dtype=np.float64) for t in tiles]
     side = cfg.grid_side
     n = len(tiles)
-    start = np.stack([place_centered(side, t) for t in tiles])
+    start = np.zeros((n, side, side))
+    for i, tile in enumerate(tiles):
+        start[i][centered(side, tile.shape)] = tile
     mean0 = start.mean(axis=(1, 2))
     com_prev = _com_batch(start)
     grids = trajectory(start, cfg.rule, cfg.steps)

@@ -6,11 +6,15 @@ Two families share the same loop shape A' = clip(A + dt * delta, 0, 1):
 * gated growth:           delta = (1 - A) * G_gen(n) + A * G_per(n)
 
 where n = K * A is the toroidal neighborhood sum and each G is a
-Gaussian bump rescaled to (-1, 1]. `step` computes the update in place
-on the convolution output, one cache-sized block of cells at a time with
-two scratch buffers, and is bit-identical to evaluating the formula above
-on whole arrays. Kernels are concentric rings over a disc of radius R,
-built from a declarative spec so rules serialize to plain JSON.
+Gaussian bump rescaled to (-1, 1]. `step` convolves a batch one chunk
+of whole grids at a time, CHUNK_CELLS cells or one grid, so no spectrum
+is as large as the batch. It updates each chunk's convolution output one
+cache-sized block of cells at a time with two scratch buffers, and the
+final clip writes into the chunk's slice of the result. A grid's FFT and
+update do not depend on the rest of its batch, so this is bit-identical
+to evaluating the formula above on whole arrays. Kernels are concentric
+rings over a disc of radius R, built from a declarative spec so rules
+serialize to plain JSON.
 """
 from __future__ import annotations
 
@@ -208,22 +212,20 @@ class RuleParams:
 
 
 # Cells per elementwise pass in `step`: 128 KB per float64 operand, so the
-# four operands of a pass (state, output, two scratch buffers) stay in L2.
+# operands of a pass (state, sums, result, two scratch buffers) stay in L2.
 BLOCK_CELLS = 1 << 14
+# Cells per convolution in `step` (512 KB of float64), rounded down to whole
+# grids and at least one grid: its spectrum and sums are about this large.
+CHUNK_CELLS = 1 << 16
 
 
-def step(state: np.ndarray, rule: RuleParams) -> np.ndarray:
-    """One update A' = clip(A + dt * delta(A, K*A), 0, 1), batched over leading axes.
-
-    The update overwrites the neighborhood sums returned by `convolve`,
-    BLOCK_CELLS cells at a time, so it allocates only two block-sized
-    scratch buffers. Every cell goes through the same IEEE operations as
-    the formula evaluated on whole arrays, so results are bit-identical
-    to it. `state` is only read; the result never shares its memory.
-    """
-    state = np.asarray(state, dtype=np.float64)
-    out = np.ascontiguousarray(convolve(state, build_kernel(rule.kernel)))
-    cells = out.reshape(-1)  # a view: writes land in `out`
+def _update(sums: np.ndarray, state: np.ndarray, rule: RuleParams,
+            out: np.ndarray) -> None:
+    """Write clip(state + dt * delta(state, sums), 0, 1) into `out`,
+    BLOCK_CELLS cells at a time. `sums` (overwritten) and `out` are
+    contiguous and shaped like `state`; `out` may be `sums` itself."""
+    cells = sums.reshape(-1)  # views: `sums` and `out` are contiguous
+    dest = out.reshape(-1)
     flat = state.reshape(-1)  # copies only a non-contiguous state
     size = min(BLOCK_CELLS, cells.size)
     a, b = np.empty(size), np.empty(size)
@@ -231,6 +233,7 @@ def step(state: np.ndarray, rule: RuleParams) -> np.ndarray:
         for lo in range(0, cells.size, BLOCK_CELLS):
             n = cells[lo : lo + BLOCK_CELLS]
             s = flat[lo : lo + BLOCK_CELLS]
+            d = dest[lo : lo + BLOCK_CELLS]
             t, u = a[: n.size], b[: n.size]
             if rule.framework == LENIA:
                 _growth(rule.growth, n, t)
@@ -242,8 +245,40 @@ def step(state: np.ndarray, rule: RuleParams) -> np.ndarray:
                 u *= s
                 t += u
             t *= rule.dt
-            np.add(s, t, out=n)
-            np.clip(n, 0.0, 1.0, out=n)
+            np.add(s, t, out=d)
+            np.clip(d, 0.0, 1.0, out=d)
+
+
+def step(state: np.ndarray, rule: RuleParams) -> np.ndarray:
+    """One update A' = clip(A + dt * delta(A, K*A), 0, 1), batched over leading axes.
+
+    The grids go through `convolve` one chunk at a time: as many whole
+    grids as fit in CHUNK_CELLS cells, and at least one. Each chunk's
+    neighborhood sums are updated in place, BLOCK_CELLS cells at a time
+    with two block-sized scratch buffers, and the final clip writes into
+    the chunk's slice of one preallocated result; a batch of one chunk
+    returns its sums array. So beyond its result a step holds about three
+    chunk-sized arrays (the spectrum, the inverse FFT's copy of it and the
+    sums), whatever the batch size. Every cell goes through the same IEEE
+    operations as the formula evaluated on whole arrays, so results are
+    bit-identical to it. `state` is only read; the result never shares its
+    memory.
+    """
+    state = np.asarray(state, dtype=np.float64)
+    kernel = build_kernel(rule.kernel)
+    grid_cells = math.prod(state.shape[-2:])
+    if state.size <= max(CHUNK_CELLS, grid_cells):  # one chunk
+        out = np.ascontiguousarray(convolve(state, kernel))
+        _update(out, state, rule, out)
+        return out
+    out = np.empty(state.shape)
+    grids = state.reshape(-1, *state.shape[-2:])  # copies only a non-contiguous state
+    dest = out.reshape(grids.shape)  # a view: writes land in `out`
+    per = max(1, CHUNK_CELLS // grid_cells)
+    for lo in range(0, len(grids), per):
+        chunk = grids[lo : lo + per]
+        sums = np.ascontiguousarray(convolve(chunk, kernel))
+        _update(sums, chunk, rule, dest[lo : lo + per])
     return out
 
 

@@ -1,14 +1,16 @@
 """Property: a small setting either runs quietly or is refused before --out exists.
 
 For each subcommand, hypothesis draws small settings with zero, negative
-and below-kernel-side values mixed in, plus --config files that set
+and below-kernel-side values mixed in; a value bounded by a grid side is
+drawn within the side already drawn. It adds --config files that set
 config-only fields (and evolve-ca's mode on some draws) and, for render,
 --pattern files with small tiles. simulate, metrics and evolve-pattern
 take their rule from --rule, --rule-file or the config file's `rule` key
 (a preset name or a rule object); a rule object may carry an extreme
 `mu`, `sigma`, `dt` or `core_param`.
 Every run must exit 0 with nothing on stderr, or exit 1 with a
-`cellevo: error:` message and no --out.
+`cellevo: error:` message and no --out. A run whose settings hold no bad
+value must exit 0.
 """
 import contextlib
 import io
@@ -38,13 +40,24 @@ def ints(low, high):
     return st.integers(low, high), st.integers(-2, low - 1)
 
 
+def within(side, low, high, margin=0):
+    """A spec for a value in [low, min(high, side - margin)], where `side`
+    names a value drawn before it; bad values as in `ints`."""
+    return lambda drawn: ints(low, max(low, min(high, drawn[side] - margin)))
+
+
 @st.composite
 def values(draw, **specs):
-    """One value per (usual, bad) spec. Half the draws take every value from
-    its usual values; the other half take one spec's value from its bad ones."""
+    """(values, whether one is bad): one value per (usual, bad) spec, drawn in
+    order; a spec may be a function of the values drawn before it. Half the
+    draws take every value from its usual values; the other half take one
+    spec's value from its bad ones."""
     bad = draw(st.sampled_from(list(specs))) if draw(st.booleans()) else None
-    return {name: draw(bad_values if name == bad else usual)
-            for name, (usual, bad_values) in specs.items()}
+    drawn = {}
+    for name, spec in specs.items():
+        usual, bad_values = spec(drawn) if callable(spec) else spec
+        drawn[name] = draw(bad_values if name == bad else usual)
+    return drawn, bad is not None
 
 
 # Extreme rule parameters: they overflow on the way to an exact result,
@@ -111,43 +124,44 @@ def flags(**values):
     return argv
 
 
-# Each strategy draws (argv, config dict or None, pattern or None); a
-# pattern is (tile, preset name). A config key RULE_FILE is not part of
-# the config: it holds the content of the --rule-file.
+# Each strategy draws (argv, config dict or None, pattern or None, whether
+# a value is bad); a pattern is (tile, preset name). A config key RULE_FILE
+# is not part of the config: it holds the content of the --rule-file.
 
 @st.composite
 def simulate(draw):
     rule = draw(st.sampled_from(RULES))
-    v = draw(values(seed=SEED, side=ints(kernel_side(rule), 64),
-                    steps=ints(0, 8), patch_side=ints(0, 32),
-                    frames_every=ints(0, 4), rule=rules_from(rule)))
+    v, bad = draw(values(seed=SEED, side=ints(kernel_side(rule), 64),
+                         steps=ints(0, 8), patch_side=within("side", 0, 32),
+                         frames_every=ints(0, 4), rule=rules_from(rule)))
     init = draw(st.sampled_from(["patch", "uniform"]))
     rule_argv, config = v.pop("rule")
     argv = ["simulate", *rule_argv, "--init", init, *flags(**v)]
-    return argv, config, None
+    return argv, config, None, bad
 
 
 @st.composite
 def evolve_ca(draw):
     mode = draw(st.sampled_from(MODES))
     low_side = 64 if mode == "predictor" else 2 * DEFAULT_EVO_KERNEL.radius + 1
-    v = draw(values(seed=SEED, generations=ints(1, 2), popsize=ints(2, 4),
-                    n_grids=ints(4, 8), grid_side=ints(low_side, 64),
-                    horizon=ints(1, 8), epochs=ints(0, 1), workers=ints(1, 2),
-                    patch_side=(st.integers(0, 48), st.integers(-3, -1))))
+    v, bad = draw(values(seed=SEED, generations=ints(1, 2), popsize=ints(2, 4),
+                         n_grids=ints(4, 8), grid_side=ints(low_side, 64),
+                         horizon=ints(1, 8), epochs=ints(0, 1),
+                         workers=ints(1, 2),
+                         patch_side=within("grid_side", 0, 48)))
     config = {"fitness": {"patch_side": v.pop("patch_side")}}
     argv = ["evolve-ca", *flags(**v)]
     if draw(st.booleans()):
         config["mode"] = mode
     else:
         argv += ["--mode", mode]
-    return argv, config, None
+    return argv, config, None, bad
 
 
 @st.composite
 def evolve_pattern(draw):
     rule = draw(st.sampled_from(RULES))
-    v = draw(values(
+    v, bad = draw(values(
         seed=SEED, grid_side=ints(kernel_side(rule), 64),
         tile_side=ints(3, 16), steps=ints(1, 8), population=ints(2, 4),
         generations=ints(1, 2), workers=ints(1, 2), stride=ints(1, 1),
@@ -158,18 +172,19 @@ def evolve_pattern(draw):
     rule_argv, config = v.pop("rule")
     config.update((name, v.pop(name)) for name in ("stride", "weight_std",
                                                    "act_prob"))
-    return ["evolve-pattern", *rule_argv, *flags(**v)], config, None
+    return ["evolve-pattern", *rule_argv, *flags(**v)], config, None, bad
 
 
 @st.composite
 def metrics(draw):
     rule = draw(st.sampled_from(RULES))
-    v = draw(values(seed=SEED, grid_side=ints(kernel_side(rule), 64),
-                    n_grids=ints(1, 8), patch_side=ints(1, 16),
-                    box_side=ints(1, 16), window=ints(1, 8),
-                    rule=rules_from(rule)))
+    v, bad = draw(values(seed=SEED, grid_side=ints(kernel_side(rule), 64),
+                         n_grids=ints(1, 8),
+                         patch_side=within("grid_side", 1, 16),
+                         box_side=within("grid_side", 1, 16, margin=1),
+                         window=ints(1, 8), rule=rules_from(rule)))
     rule_argv, config = v.pop("rule")
-    return ["metrics", *rule_argv, *flags(**v)], config, None
+    return ["metrics", *rule_argv, *flags(**v)], config, None, bad
 
 
 @st.composite
@@ -180,9 +195,9 @@ def render(draw):
     # Without a pattern, render paints a 4 * radius demo tile under Orbium.
     low = (kernel_side(pattern[1]) if pattern
            else 4 * load_preset("Orbium").kernel.radius)
-    v = draw(values(seed=SEED, grid_side=ints(low, 64),
-                    steps=ints(0, 8), every=ints(1, 4)))
-    return ["render", *flags(**v)], None, pattern
+    v, bad = draw(values(seed=SEED, grid_side=ints(low, 64),
+                         steps=ints(0, 8), every=ints(1, 4)))
+    return ["render", *flags(**v)], None, pattern, bad
 
 
 COMMANDS = {"simulate": simulate(), "evolve-ca": evolve_ca(),
@@ -195,7 +210,7 @@ COMMANDS = {"simulate": simulate(), "evolve-ca": evolve_ca(),
 @given(data=st.data())
 def test_small_setting_runs_or_is_refused_before_out(tmp_path_factory,
                                                      command, data):
-    argv, config, pattern = data.draw(COMMANDS[command])
+    argv, config, pattern, bad = data.draw(COMMANDS[command])
     tmp = tmp_path_factory.mktemp(command)  # fresh per example
     if config and RULE_FILE in config:
         config = dict(config)
@@ -213,8 +228,10 @@ def test_small_setting_runs_or_is_refused_before_out(tmp_path_factory,
     with contextlib.redirect_stderr(err), \
             contextlib.redirect_stdout(io.StringIO()):
         code = main([*argv, "--out", str(out)])
-    event(f"exit {code}")
+    event(f"exit {code}" + (" (a bad value)" if bad else ""))
     assert code in (0, 1), err.getvalue()
+    if not bad:
+        assert code == 0, err.getvalue()
     if code == 0:
         assert err.getvalue() == ""
     else:

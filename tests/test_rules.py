@@ -368,7 +368,8 @@ def noncontiguous_batch(rng):
 
 
 class TestBlockedStep:
-    """`step` updates the convolution output in blocks of BLOCK_CELLS cells."""
+    """`step` convolves chunks of whole grids and updates each chunk's sums in
+    blocks of BLOCK_CELLS cells."""
 
     SHAPES = {
         "below_one_block": (40, 40),
@@ -376,6 +377,15 @@ class TestBlockedStep:
         "two_blocks": (2, 128, 128),
         "ragged_tail": (5, 64, 64),
         "two_leading_axes": (2, 3, 64, 64),
+        # Around a chunk of CHUNK_CELLS // (64 * 64) grids of 64^2, and a
+        # grid larger than a chunk.
+        "fewer_grids_than_a_chunk": (15, 64, 64),
+        "one_chunk": (16, 64, 64),
+        "one_more_than_a_chunk": (17, 64, 64),
+        "ragged_chunk_tail": (40, 64, 64),
+        "chunks_over_two_leading_axes": (3, 7, 64, 64),
+        "grid_larger_than_a_chunk": (3, 264, 264),
+        "one_grid_larger_than_a_chunk": (1, 264, 264),
     }
 
     def test_shapes_cover_block_boundaries(self):
@@ -399,6 +409,58 @@ class TestBlockedStep:
             got = step(state, rule)
             assert got.shape == state.shape
             assert got.tobytes() == plain_step(state, rule).tobytes()
+            grids = state.reshape(-1, *shape[-2:])
+            one_by_one = np.stack([step(grid, rule) for grid in grids])
+            assert got.tobytes() == one_by_one.tobytes()
+
+    def test_shapes_cover_chunk_boundaries(self):
+        per_chunk = rules.CHUNK_CELLS // (64 * 64)
+        grids = {k: math.prod(v[:-2]) for k, v in self.SHAPES.items()}
+        assert grids["fewer_grids_than_a_chunk"] < per_chunk
+        assert grids["one_chunk"] == per_chunk
+        assert grids["one_more_than_a_chunk"] == per_chunk + 1
+        assert grids["ragged_chunk_tail"] > 2 * per_chunk
+        assert grids["ragged_chunk_tail"] % per_chunk != 0
+        assert grids["chunks_over_two_leading_axes"] > per_chunk
+        assert grids["chunks_over_two_leading_axes"] % per_chunk != 0
+        assert 264 * 264 > rules.CHUNK_CELLS
+
+    @pytest.mark.parametrize("shape, chunks", [
+        ((16, 64, 64), [(16, 64, 64)]),  # one chunk: the batch as passed
+        ((2, 8, 64, 64), [(2, 8, 64, 64)]),
+        ((1, 264, 264), [(1, 264, 264)]),
+        ((40, 64, 64), [(16, 64, 64), (16, 64, 64), (8, 64, 64)]),
+        ((3, 7, 64, 64), [(16, 64, 64), (5, 64, 64)]),
+        ((3, 264, 264), [(1, 264, 264)] * 3),
+    ])
+    def test_convolves_chunks_of_whole_grids(self, monkeypatch, shape, chunks):
+        assert rules.CHUNK_CELLS == 16 * 64 * 64
+        seen = []
+
+        def recording(state, kernel):
+            seen.append(state.shape)
+            return convolve(state, kernel)
+
+        monkeypatch.setattr(rules, "convolve", recording)
+        step(np.zeros(shape), load_preset("Orbium"))
+        assert seen == chunks
+
+    @pytest.mark.parametrize("shape", [(0, 64, 64), (0, 3, 64, 64), (3, 0, 64, 64)])
+    def test_empty_batch(self, shape):
+        got = step(np.zeros(shape), load_preset("Orbium"))
+        assert got.shape == shape and got.dtype == np.float64
+
+    @pytest.mark.parametrize("convolution", ["fft", "direct"], indirect=True)
+    @pytest.mark.parametrize("name", ["Orbium", "s7"])
+    def test_noncontiguous_chunks(self, name, convolution):
+        # 20 grids of 64^2, no unit strides: two chunks, the second ragged.
+        state = np.random.default_rng(18).random((40, 64, 64))[::2, :, ::-1]
+        state = state.transpose(0, 2, 1)
+        assert len(state) * 64 * 64 > rules.CHUNK_CELLS
+        rule = load_preset(name)
+        got = step(state, rule)
+        assert got.tobytes() == plain_step(state, rule).tobytes()
+        assert np.array_equal(got, step(np.ascontiguousarray(state), rule))
 
     @pytest.mark.parametrize("convolution", ["fft", "direct"], indirect=True)
     @pytest.mark.parametrize("name", ["Orbium", "s7"])
