@@ -7,9 +7,10 @@ an error that names the field, so config files fail loudly instead of
 silently ignoring typos or coercing values. An int passes as a float;
 a bool passes as neither. Construction refuses, naming the field, any
 setting a run could not use, the cross-field limits included: evolve-ca's
-mode, popsize, predictor-mode dataset and kernel fit, and the fit of the
-rule's kernel and evolve-pattern's tile in the grid. A `rule` field holds
-the whole rule; a file gives it as a preset name or a rule object.
+mode, popsize, predictor-mode dataset and kernel fit, the fit of the
+rule's kernel and evolve-pattern's tile in the grid, and the fit of a
+batched command's grids in physical memory. A `rule` field holds the
+whole rule; a file gives it as a preset name or a rule object.
 """
 from __future__ import annotations
 
@@ -19,13 +20,18 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .predictor import check_dataset
-from .rules import KernelSpec, RuleParams, check_kernel, from_json, load_preset
+from .rules import (KernelSpec, RuleParams, check_batch, check_kernel,
+                    from_json, load_preset)
 
 # Kernel used when evolving new rules (the wide three-ring neighborhood).
 DEFAULT_EVO_KERNEL = KernelSpec(radius=18, ring_weights=(0.5, 1.0, 0.667))
 MODES = ("simple", "predictor", "random")
 # Preset run by simulate, metrics, evolve-pattern and render's demo mode.
 DEFAULT_RULE = "Orbium"
+# k, the peak number of batch-sized float64 arrays a run of each batched
+# command holds, as measured in README "Memory"; `check_batch` refuses a
+# batch whose k copies exceed physical memory.
+BATCH_ARRAYS = {"metrics": 2.0, "evolve-ca": 2.03, "evolve-pattern": 2.21}
 
 
 class _FromDict:
@@ -123,6 +129,8 @@ class EvolveCaConfig(_FromDict):
             check_dataset(self.fitness.n_grids, self.fitness.grid_side,
                           self.fitness.split)
         check_kernel(self.kernel, self.fitness.grid_side)
+        check_batch(self.fitness.n_grids, self.fitness.grid_side,
+                    BATCH_ARRAYS["evolve-ca"], "n_grids")
 
     @classmethod
     def from_dict(cls, data: dict) -> "EvolveCaConfig":
@@ -171,6 +179,8 @@ class PatternEvoConfig(_FromDict):
             raise ValueError("lambda_homeo must be finite")
         radius, tile = self.rule.kernel.radius, self.resolved_tile_side
         check_kernel(self.rule.kernel, self.grid_side)
+        check_batch(self.population, self.grid_side,
+                    BATCH_ARRAYS["evolve-pattern"], "population")
         if tile < 3:
             raise ValueError(f"tile_side {tile} must be at least 3")
         if tile > self.grid_side:
@@ -207,6 +217,8 @@ class MetricsConfig(_FromDict):
         if not 0 < self.box_side < self.grid_side:
             raise ValueError("box_side must be strictly inside the grid")
         check_kernel(self.rule.kernel, self.grid_side)
+        check_batch(self.n_grids, self.grid_side, BATCH_ARRAYS["metrics"],
+                    "n_grids")
 
 
 def load_config_file(path) -> dict:

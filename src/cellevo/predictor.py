@@ -14,12 +14,13 @@ vector moves every layer. Forward pass and backprop are hand-rolled numpy
 so gradients can be finite-difference checked; training is plain SGD with
 momentum on binary cross-entropy, at a fixed learning rate and momentum.
 Activations are channels-last, and each convolution is an im2col window
-copy followed by one matmul (Chellapilla, Puri & Simard 2006). The conv1
-windows depend only on the input, so `train` copies them once per dataset
-and gathers each batch's rows from that copy. The conv2 input gradient is
-one stacked matmul against the weights laid out per window offset, whose
-nine blocks are scatter-added onto the pooled grid: the adjoint of the
-window copy.
+copy followed by one matmul (Chellapilla, Puri & Simard 2006). Windows are
+copied per batch: `train` hands each SGD step its batch's 32x32 grids and
+validates in batches of the same size, so beyond the pooled dataset it
+holds about one batch's activations, however many grids the dataset has.
+The conv2 input gradient is one matmul per window offset against the
+weights laid out per offset, each scatter-added onto the pooled grid: the
+adjoint of the window copy.
 """
 from __future__ import annotations
 
@@ -92,27 +93,30 @@ def _conv_param_grads(cols, w, gz):
 def _conv_input_grad(gz, w, shape):
     """Input gradient (B, H, W, C) of _conv, given the gradient gz of its output.
 
-    Each window offset (u, v) contributes one contiguous block gz @ w[:, :, u, v];
-    the blocks are added in (u, v) order onto the shifted input.
+    Each window offset (u, v) contributes one block gz @ w[:, :, u, v], made
+    and added in (u, v) order onto the shifted input.
     """
     n, h, wd, c = shape
     per_offset = w.transpose(2, 3, 0, 1).reshape(9, len(w), c)
-    blocks = np.matmul(gz.reshape(-1, len(w)), per_offset)
+    rows = gz.reshape(-1, len(w))
     gx = np.zeros(shape)
-    for k, block in enumerate(blocks):
+    for k in range(9):
         u, v = divmod(k, 3)
+        block = rows @ per_offset[k]
         gx[:, u : u + h - 2, v : v + wd - 2] += block.reshape(n, h - 2, wd - 2, c)
     return gx
 
 
 def _forward(w: PredictorWeights, cols1: np.ndarray) -> dict:
     """cols1: conv1 windows (B, 30, 30, 9). Returns every intermediate for backprop."""
-    a1 = np.tanh(_conv(cols1, w.conv1_w, w.conv1_b))
+    a1 = _conv(cols1, w.conv1_w, w.conv1_b)
+    np.tanh(a1, out=a1)
     pooled = (
         a1[:, ::2, ::2] + a1[:, ::2, 1::2] + a1[:, 1::2, ::2] + a1[:, 1::2, 1::2]
     ) / 4.0
     cols2 = _im2col(pooled)
-    a2 = np.tanh(_conv(cols2, w.conv2_w, w.conv2_b))
+    a2 = _conv(cols2, w.conv2_w, w.conv2_b)
+    np.tanh(a2, out=a2)
     feat = a2.mean(axis=(1, 2))
     logit = feat @ w.dense_w + w.dense_b
     return {
@@ -135,8 +139,8 @@ def predict_batch(w: PredictorWeights, grids: np.ndarray) -> np.ndarray:
 def loss_and_grads(w: PredictorWeights, grids, labels):
     """Mean binary cross-entropy and its gradient, packed to (673,).
 
-    grids: (B, 32, 32), or their conv1 windows (B, 30, 30, 9) as `train`
-    gathers them; any other shape is rejected. labels: (B,) in {0, 1}.
+    grids: (B, 32, 32), or their conv1 windows (B, 30, 30, 9); any other
+    shape is rejected. labels: (B,) in {0, 1}.
     """
     x = np.asarray(grids, dtype=np.float64)
     side = INPUT_SIDE - 2
@@ -166,7 +170,9 @@ def loss_and_grads(w: PredictorWeights, grids, labels):
     # Average-pool backward spreads each gradient over its 2x2 block; the
     # input gradient of conv1 is never needed, so it is not computed.
     b, h, wd, c = cache["a1"].shape
-    gz1 = (1.0 - cache["a1"] ** 2).reshape(b, h // 2, 2, wd // 2, 2, c)
+    gz1 = np.square(cache["a1"])
+    np.subtract(1.0, gz1, out=gz1)
+    gz1 = gz1.reshape(b, h // 2, 2, wd // 2, 2, c)
     gz1 *= (gpooled / 4.0)[:, :, None, :, None, :]
     g_conv1_w, g_conv1_b = _conv_param_grads(cache["cols1"], w.conv1_w, gz1)
 
@@ -217,8 +223,9 @@ def train(
     """SGD-with-momentum training on a shuffled train/validation split.
 
     Everything random (split, init, batch order) comes from one stream
-    seeded by `seed`, so results are reproducible. The training examples'
-    conv1 windows are copied once, and each batch gathers its rows. The
+    seeded by `seed`, so results are reproducible. Grids are pooled to
+    32x32 once; each SGD step copies only its batch's conv1 windows, and
+    the validation set is predicted `batch_size` grids at a time. The
     parameters live in one flat vector that each SGD step updates in place.
     """
     m = len(grids)
@@ -235,17 +242,21 @@ def train(
     flat = rng.normal(0.0, 0.1, PARAM_COUNT)
     w = PredictorWeights.unpack(flat)  # views: the in-place steps move w too
     velocity = np.zeros_like(flat)
-    cols, y_train = _im2col(x[train_idx][..., None]), y[train_idx]
+    x_train, y_train = x[train_idx], y[train_idx]
     for _ in range(epochs):
         order = rng.permutation(n_train)
         for lo in range(0, n_train, batch_size):
             batch = order[lo : lo + batch_size]
-            _, g = loss_and_grads(w, cols[batch], y_train[batch])
+            _, g = loss_and_grads(w, x_train[batch], y_train[batch])
             velocity *= MOMENTUM
             velocity -= LEARNING_RATE * g
             flat += velocity
 
     if not np.all(np.isfinite(flat)):
         raise ValueError("training diverged: the weights are not finite")
-    val_acc = accuracy(predict_batch(w, x[val_idx]), y[val_idx] > 0.5)
+    # Chunks of two or more grids give the bits of one whole-set call; a
+    # 1-grid tail can differ from it by an ulp.
+    probs = np.concatenate([predict_batch(w, x[val_idx[lo : lo + batch_size]])
+                            for lo in range(0, len(val_idx), batch_size)])
+    val_acc = accuracy(probs, y[val_idx] > 0.5)
     return TrainResult(flat, val_acc, single_class, n_train, m - n_train)

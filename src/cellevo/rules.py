@@ -152,20 +152,39 @@ def build_kernel(spec: KernelSpec) -> Kernel:
     return Kernel(spec.radius, weights / total)
 
 
+def physical_memory() -> int:
+    """The host's physical memory in bytes, or 0 where the platform does not
+    report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return 0
+
+
 def check_kernel(spec: KernelSpec, side: int, field: str = "grid_side") -> None:
     """Refuse a kernel that does not fit the grid side `field`, then a side
     whose one float64 grid exceeds the host's physical memory (where the
     platform reports it), then a kernel whose weights all come out 0. Both
     side checks come first, so no stencil larger than a grid is built."""
     check_kernel_fits(spec.radius, side, field)
-    try:
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        memory = 0
+    memory = physical_memory()
     if 0 < memory < 8 * side * side:
         raise ValueError(f"{field} {side} needs {8 * side * side} bytes per grid,"
                          f" more than the {memory} bytes of physical memory")
     build_kernel(spec)
+
+
+def check_batch(count: int, side: int, k: float, field: str) -> None:
+    """Refuse a batch of `count` side x side grids, the count setting `field`,
+    when the k batch-sized float64 arrays its run holds at its peak exceed
+    the host's physical memory; where the platform does not report its
+    memory, nothing is refused. The count stays an exact integer in the
+    comparison, so no count is too large to compare."""
+    memory = physical_memory()
+    if memory and count * side * side > memory / (8 * k):
+        raise ValueError(f"{field} {count} needs {k:g} x {8 * side * side} bytes"
+                         f" per grid of side {side}, more than the {memory} bytes"
+                         " of physical memory")
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import cellevo.rules
 from cellevo.patterns import ACT_NAMES, PatternFitness, _com_batch, _wrap_delta
+
+# CI passes --hypothesis-profile=ci, so every CI run draws the same examples
+# and a failure there reproduces; other runs keep fresh random draws.
+settings.register_profile("ci", derandomize=True)
 
 
 def shift_add_convolve(state, kernel):

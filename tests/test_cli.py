@@ -16,7 +16,8 @@ from cellevo.config import (
 from cellevo.grid import place_centered, substream
 from cellevo.io import grid_to_pgm, load_pattern, save_pattern
 from cellevo.patterns import random_genome, synthesize
-from cellevo.rules import load_preset, preset_names, rule_to_dict, step
+from cellevo.rules import (load_preset, physical_memory, preset_names,
+                           rule_to_dict, step)
 
 # Small-but-real invocations; grids must fit the default radius-18 kernel.
 EVOLVE_CA = ["evolve-ca", "--mode", "simple", "--generations", "2",
@@ -716,6 +717,34 @@ HUGE = 10 ** 8  # one float64 grid of this side takes 80 PB
         "evolve-pattern", "render"])
 def test_grid_beyond_physical_memory_is_usage_error(tmp_path, argv, config,
                                                     named, capsys):
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = [*argv, "--config", str(tmp_path / "cfg.json")]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"cellevo: error: {named} needs"), err
+    assert "physical memory" in err
+    assert not out.exists()
+
+
+COUNT = 10 ** 12  # grids of 64^2 or more at this count take over 30 PB
+
+
+@pytest.mark.parametrize("argv, config, named", [
+    (["metrics", "--n-grids", str(COUNT)], None, f"n_grids {COUNT}"),
+    (["metrics"], {"n_grids": 10 ** 400}, f"n_grids {10 ** 400}"),
+    ([*EVOLVE_CA, "--n-grids", str(COUNT)], None, f"n_grids {COUNT}"),
+    (["evolve-ca", "--mode", "predictor", "--n-grids", str(COUNT)], None,
+     f"n_grids {COUNT}"),
+    (["evolve-pattern", "--population", str(COUNT)], None, f"population {COUNT}"),
+], ids=["metrics", "metrics-config", "evolve-ca", "evolve-ca-predictor",
+        "evolve-pattern"])
+def test_batch_beyond_physical_memory_is_usage_error(tmp_path, argv, config,
+                                                     named, capsys):
+    if not physical_memory():
+        pytest.skip("the platform does not report its memory, so nothing"
+                    " refuses the batch")
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         argv = [*argv, "--config", str(tmp_path / "cfg.json")]

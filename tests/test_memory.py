@@ -1,9 +1,12 @@
-"""Peak Python-heap allocation of a step and of a starting batch (tracemalloc).
+"""Peak Python-heap allocation of the batched steps of a run (tracemalloc).
 
 `step` convolves one chunk of whole grids at a time, so beyond its result
 it holds about one chunk's spectrum and sums, however many grids the batch
 has. `seeded_patches` writes each patch into one zeroed batch, so it never
-holds a second copy of the batch.
+holds a second copy of the batch. `generate_dataset` holds the batch being
+stepped and its result, not the starting batch too, and `train` holds the
+pooled dataset and one batch's windows and activations, not windows for
+the whole training set.
 """
 import tracemalloc
 
@@ -11,7 +14,10 @@ import numpy as np
 import pytest
 
 import cellevo.rules as rules
+from cellevo.config import DEFAULT_EVO_KERNEL, HaltingFitnessConfig
 from cellevo.grid import seeded_patches
+from cellevo.halting import generate_dataset, genome_to_rule
+from cellevo.predictor import train
 from cellevo.rules import load_preset, step
 
 
@@ -48,3 +54,30 @@ def test_seeded_patches_peak_is_batch_plus_one_patch():
     # Slack for the small objects each patch's generator leaves to the
     # cycle collector; a second batch would be 4 MB.
     assert peak <= grids.nbytes + patch + 16 * 1024, peak - grids.nbytes
+
+
+def test_train_peak_grows_by_at_most_half_the_grids():
+    rng = np.random.default_rng(0)
+    train(rng.random((8, 64, 64)), np.arange(8) % 2 == 0, epochs=1, seed=0)
+    peaks = []
+    for count in (128, 512):
+        grids = rng.random((count, 64, 64))
+        labels = np.arange(count) % 2 == 0
+        peaks.append(traced_peak(lambda: train(grids, labels, epochs=1, seed=0))[1])
+    # The 32^2 pooled grids are a quarter of the 64^2 grids' bytes and the
+    # training rows 3/16; windows for the whole training set were 2.5x them.
+    grown = (512 - 128) * 64 * 64 * 8
+    assert peaks[1] - peaks[0] <= grown / 2, (peaks[1] - peaks[0]) / grown
+
+
+def test_generate_dataset_holds_two_batches():
+    rule = genome_to_rule(np.zeros(4), DEFAULT_EVO_KERNEL, 0.1)
+    generate_dataset(rule, HaltingFitnessConfig(n_grids=4, horizon=2), 0)
+    peaks = []
+    for count in (64, 128):
+        cfg = HaltingFitnessConfig(n_grids=count, horizon=4)
+        peaks.append(traced_peak(lambda: generate_dataset(rule, cfg, 0))[1])
+    # The batch being stepped and its result (2); holding the starting batch
+    # through the run as well made it 3.
+    slope = (peaks[1] - peaks[0]) / ((128 - 64) * 64 * 64 * 8)
+    assert slope <= 2.5, slope

@@ -221,6 +221,18 @@ class TestBitwiseFastPaths:
         loss_b, g_b = loss_and_grads(w, grids[rows], y)
         assert loss_a == loss_b and g_a.tobytes() == g_b.tobytes()
 
+    @pytest.mark.parametrize("chunk", [2, 4, 5, 16])
+    def test_predict_batch_in_chunks_equals_whole_batch(self, chunk):
+        # `train` validates in chunks. No chunk here is a single grid: a
+        # 1-grid batch can come out one ulp away from the whole-batch result.
+        rng = np.random.default_rng(45)
+        w = init_weights(rng)
+        grids = rng.random((34, 64, 64))
+        parts = [predict_batch(w, grids[lo : lo + chunk])
+                 for lo in range(0, len(grids), chunk)]
+        assert min(len(p) for p in parts) >= 2
+        assert np.concatenate(parts).tobytes() == predict_batch(w, grids).tobytes()
+
     @pytest.mark.parametrize("shape", [(4, 32, 32, 1), (4, 64, 64), (4, 30, 30, 8), (32, 32)])
     def test_loss_and_grads_rejects_other_shapes(self, shape):
         w = init_weights(np.random.default_rng(44))

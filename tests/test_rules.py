@@ -16,9 +16,11 @@ from cellevo.rules import (
     KernelSpec,
     RuleParams,
     build_kernel,
+    check_batch,
     check_kernel,
     growth_value,
     load_preset,
+    physical_memory,
     preset_names,
     rule_from_dict,
     rule_to_dict,
@@ -238,6 +240,22 @@ class TestBuildKernel:
 
         monkeypatch.setattr(rules.os, "sysconf", unknown)
         check_kernel(KernelSpec(radius=2, ring_weights=(1.0,)), 10 ** 30)
+        assert physical_memory() == 0
+        check_batch(10 ** 30, 64, 2.0, "n_grids")
+
+    def test_check_batch_refuses_k_batches_beyond_physical_memory(
+            self, monkeypatch):
+        monkeypatch.setattr(rules.os, "sysconf",
+                            {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1000}.get)
+        # 4,096,000 bytes hold 62 grids of 64^2 at k = 2 (65,536 bytes each).
+        check_batch(62, 64, 2.0, "n_grids")
+        with pytest.raises(ValueError, match=(
+                r"^n_grids 63 needs 2 x 32768 bytes per grid of side 64, more"
+                r" than the 4096000 bytes of physical memory$")):
+            check_batch(63, 64, 2.0, "n_grids")
+        # A count beyond the float range is compared exactly, not overflowed.
+        with pytest.raises(ValueError, match=r"^population 1000+ needs 2.5 x"):
+            check_batch(10 ** 400, 64, 2.5, "population")
 
 
 class TestStep:
