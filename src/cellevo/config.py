@@ -31,7 +31,7 @@ DEFAULT_RULE = "Orbium"
 # k, the peak number of batch-sized float64 arrays a run of each batched
 # command holds, as measured in README "Memory"; `check_batch` refuses a
 # batch whose k copies exceed physical memory.
-BATCH_ARRAYS = {"metrics": 2.0, "evolve-ca": 2.03, "evolve-pattern": 2.21}
+BATCH_ARRAYS = {"metrics": 1.01, "evolve-ca": 1.48, "evolve-pattern": 1.19}
 
 
 class _FromDict:

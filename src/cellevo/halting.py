@@ -56,14 +56,15 @@ def generate_dataset(rule: RuleParams, cfg: HaltingFitnessConfig,
     """Simulate cfg.n_grids seeded initial grids to cfg.horizon and label them.
 
     Grid i is a centered patch from the (seed, i) stream; see `seeded_patches`.
-    The starting batch goes straight to `trajectory`, which drops it after
-    the first step, and the dataset's grids are drawn again from the same
-    streams once the run is over, so no step holds a third batch.
+    The starting batch goes straight to `trajectory`, which steps it in
+    place, and the dataset's grids are drawn again from the same streams
+    once the stepped batch is dropped, so the run holds one batch at a time.
     """
     batch = (cfg.n_grids, cfg.grid_side, cfg.patch_side, seed)
     for _, each in trajectory(seeded_patches(*batch), rule, cfg.horizon):
         pass
     labels = each(lambda w: w.max(axis=(-2, -1)) > HALT_THRESHOLD)
+    del each  # its closure holds the stepped batch
     return HaltingDataset(seeded_patches(*batch), labels)
 
 

@@ -80,7 +80,7 @@ def compute_metrics(cfg: MetricsConfig, seed: int) -> MetricsReport:
     """
     n = cfg.n_grids
     side = cfg.grid_side
-    # Passed straight in, so `trajectory` alone holds the initial batch.
+    # Passed straight in: `trajectory` alone holds the batch, stepped in place.
     grids = trajectory(seeded_patches(n, side, cfg.patch_side, seed), cfg.rule,
                        2 * cfg.window)
 

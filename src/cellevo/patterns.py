@@ -158,7 +158,7 @@ def evaluate_tiles(tiles, cfg: PatternEvoConfig) -> list[PatternFitness]:
     mean0 = start.mean(axis=(1, 2))
     com_prev = _com_batch(start)
     grids = trajectory(start, cfg.rule, cfg.steps)
-    del start  # `grids` alone holds it now and drops it after the first update
+    del start  # `grids` alone holds it now and steps it in place
 
     net = np.zeros((n, 2))
     survived = np.ones(n, dtype=bool)

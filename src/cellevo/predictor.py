@@ -139,21 +139,15 @@ def predict_batch(w: PredictorWeights, grids: np.ndarray) -> np.ndarray:
 def loss_and_grads(w: PredictorWeights, grids, labels):
     """Mean binary cross-entropy and its gradient, packed to (673,).
 
-    grids: (B, 32, 32), or their conv1 windows (B, 30, 30, 9); any other
-    shape is rejected. labels: (B,) in {0, 1}.
+    grids: (B, 32, 32); any other shape is rejected. labels: (B,) in {0, 1}.
     """
     x = np.asarray(grids, dtype=np.float64)
-    side = INPUT_SIDE - 2
-    if x.shape[1:] == (INPUT_SIDE, INPUT_SIDE):
-        x = _im2col(x[..., None])
-    elif x.shape[1:] != (side, side, 9):
+    if x.shape[1:] != (INPUT_SIDE, INPUT_SIDE):
         raise ValueError(
-            f"expected grids (B, {INPUT_SIDE}, {INPUT_SIDE}) or conv1 windows"
-            f" (B, {side}, {side}, 9), got shape {x.shape}"
-        )
+            f"expected grids (B, {INPUT_SIDE}, {INPUT_SIDE}), got shape {x.shape}")
     y = np.asarray(labels, dtype=np.float64)
     batch = x.shape[0]
-    cache = _forward(w, x)
+    cache = _forward(w, _im2col(x[..., None]))
     logit = cache["logit"]
     # softplus(l) - y*l is the numerically stable form of BCE on logits.
     loss = float(np.mean(np.logaddexp(0.0, logit) - y * logit))

@@ -10,7 +10,8 @@ Gaussian bump rescaled to (-1, 1]. `step` convolves a batch one chunk
 of whole grids at a time, CHUNK_CELLS cells or one grid, so no spectrum
 is as large as the batch. It updates each chunk's convolution output one
 cache-sized block of cells at a time with two scratch buffers, and the
-final clip writes into the chunk's slice of the result. A grid's FFT and
+final clip writes into the chunk's slice of the result, which may be the
+batch itself: `trajectory` steps its batch in place. A grid's FFT and
 update do not depend on the rest of its batch, so this is bit-identical
 to evaluating the formula above on whole arrays. Kernels are concentric
 rings over a disc of radius R, built from a declarative spec so rules
@@ -268,29 +269,50 @@ def _update(sums: np.ndarray, state: np.ndarray, rule: RuleParams,
             np.clip(d, 0.0, 1.0, out=d)
 
 
-def step(state: np.ndarray, rule: RuleParams) -> np.ndarray:
+def _check_out(out, state: np.ndarray) -> None:
+    """Refuse an `out` for `step` that is not a C-contiguous float64 array
+    shaped like `state`, or that overlaps `state` without being it."""
+    if not (isinstance(out, np.ndarray) and out.dtype == np.float64
+            and out.shape == state.shape and out.flags.c_contiguous):
+        raise ValueError("step out must be a C-contiguous float64 array of shape"
+                         f" {state.shape}")
+    if out is not state and np.shares_memory(out, state):
+        raise ValueError("step out overlaps state without being it")
+
+
+def step(state: np.ndarray, rule: RuleParams, out: np.ndarray | None = None
+         ) -> np.ndarray:
     """One update A' = clip(A + dt * delta(A, K*A), 0, 1), batched over leading axes.
 
     The grids go through `convolve` one chunk at a time: as many whole
     grids as fit in CHUNK_CELLS cells, and at least one. Each chunk's
     neighborhood sums are updated in place, BLOCK_CELLS cells at a time
     with two block-sized scratch buffers, and the final clip writes into
-    the chunk's slice of one preallocated result; a batch of one chunk
-    returns its sums array. So beyond its result a step holds about three
-    chunk-sized arrays (the spectrum, the inverse FFT's copy of it and the
-    sums), whatever the batch size. Every cell goes through the same IEEE
-    operations as the formula evaluated on whole arrays, so results are
-    bit-identical to it. `state` is only read; the result never shares its
-    memory.
+    the chunk's slice of the result. So beyond its result a step holds
+    about three chunk-sized arrays (the spectrum, the inverse FFT's copy
+    of it and the sums), whatever the batch size. Every cell goes through
+    the same IEEE operations as the formula evaluated on whole arrays, so
+    results are bit-identical to it.
+
+    The result is written into `out`, a C-contiguous float64 array shaped
+    like `state`, which may be `state` itself but may not overlap it
+    otherwise (ValueError). In place is exact: a chunk's sums are computed
+    before its slice is written, each block of cells is read before it is
+    written, and each grid's update depends on that grid alone. With
+    `out=None`, `state` is only read and the result never shares its
+    memory; a batch of one chunk returns its sums array.
     """
     state = np.asarray(state, dtype=np.float64)
     kernel = build_kernel(rule.kernel)
     grid_cells = math.prod(state.shape[-2:])
-    if state.size <= max(CHUNK_CELLS, grid_cells):  # one chunk
-        out = np.ascontiguousarray(convolve(state, kernel))
-        _update(out, state, rule, out)
-        return out
-    out = np.empty(state.shape)
+    if out is not None:
+        _check_out(out, state)
+    elif state.size <= max(CHUNK_CELLS, grid_cells):  # one chunk
+        sums = np.ascontiguousarray(convolve(state, kernel))
+        _update(sums, state, rule, sums)
+        return sums
+    else:
+        out = np.empty(state.shape)
     grids = state.reshape(-1, *state.shape[-2:])  # copies only a non-contiguous state
     dest = out.reshape(grids.shape)  # a view: writes land in `out`
     per = max(1, CHUNK_CELLS // grid_cells)
@@ -304,14 +326,18 @@ def step(state: np.ndarray, rule: RuleParams) -> np.ndarray:
 def trajectory(work: np.ndarray, rule: RuleParams, steps: int):
     """Yield (t, each) after each `step` t = 1..steps of a (N, H, W) batch.
 
-    `each(f)` applies a per-grid function `f`, which maps (M, H, W) to
-    (M, ...), to all N grids at step t and returns the (N, ...) result;
-    call it before asking for the next step. When the empty state is
-    absorbing under `rule`, grids whose max is exactly 0 are retired: their
-    future is known, and per-grid updates are bitwise independent of batch
-    composition. A retired grid is no longer stepped or stored, and `each`
-    reads it as a zero grid, reducing one zero grid however many have
-    retired. Once no grid is left, nothing is stepped.
+    `work`, a C-contiguous float64 batch, is taken over: it is stepped in
+    place, so the caller must not use it afterwards. `each(f)` applies a
+    per-grid function `f`, which maps (M, H, W) to (M, ...), to all N grids
+    at step t and returns the (N, ...) result; call it before asking for
+    the next step, as the array `f` receives is overwritten by the next
+    step. When the empty state is absorbing under `rule`, grids whose max
+    is exactly 0 are retired: their future is known, and per-grid updates
+    are bitwise independent of batch composition. The grids left are moved
+    in order to the front of the same buffer, so retiring copies no batch.
+    A retired grid is no longer stepped or stored, and `each` reads it as a
+    zero grid, reducing one zero grid however many have retired. Once no
+    grid is left, nothing is stepped.
     """
     n, shape = work.shape[0], work.shape[1:]
     retire = rule.zero_is_absorbing()
@@ -327,12 +353,15 @@ def trajectory(work: np.ndarray, rule: RuleParams, steps: int):
 
     for t in range(1, steps + 1):
         if active.size:
-            # Rebinding the parameter drops the caller's initial batch.
-            work = step(work, rule)
+            work = step(work, rule, work)
             if retire:
                 alive = work.max(axis=(-2, -1)) != 0.0
                 if not alive.all():
-                    active, work = active[alive], work[alive]
+                    keep = np.flatnonzero(alive)
+                    for j, i in enumerate(keep):
+                        if i != j:
+                            work[j] = work[i]
+                    active, work = active[keep], work[: keep.size]
         yield t, each
 
 
@@ -346,12 +375,13 @@ def run(state: np.ndarray, rule: RuleParams, steps: int, every: int = 0,
         on_frame=None) -> RunResult:
     """Iterate `step` and record per-step mean/max summaries.
 
-    With every > 0 it also hands each frame, uncopied, to `on_frame` as it
-    is produced: step 0, every `every` steps and the last step. It keeps
-    no frame, so memory does not grow with `steps`. Summaries, frames and
-    the final state are read through `trajectory`'s `each`, so a grid that
-    reaches exactly 0 under an absorbing rule stops being simulated and
-    reads 0 from then on.
+    With every > 0 it also hands each frame to `on_frame` as it is
+    produced: step 0, every `every` steps and the last step. A frame is
+    never overwritten by a later step, and none is kept, so memory does not
+    grow with `steps`. The simulation steps one copy of `state`, read
+    through `trajectory`'s `each` for summaries, frames and the final
+    state, so a grid that reaches exactly 0 under an absorbing rule stops
+    being simulated and reads 0 from then on.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -359,7 +389,7 @@ def run(state: np.ndarray, rule: RuleParams, steps: int, every: int = 0,
         raise ValueError("frames every > 0 steps need an on_frame consumer")
     state = np.asarray(state, dtype=np.float64)
     lead = state.shape[:-2]
-    batch = state.reshape(-1, *state.shape[-2:])
+    batch = np.array(state, order="C").reshape(-1, *state.shape[-2:])
     means = np.zeros((steps, batch.shape[0]))
     maxes = np.zeros((steps, batch.shape[0]))
     if every:
@@ -368,9 +398,10 @@ def run(state: np.ndarray, rule: RuleParams, steps: int, every: int = 0,
         means[t - 1] = each(lambda w: w.mean(axis=(-2, -1)))
         maxes[t - 1] = each(lambda w: w.max(axis=(-2, -1)))
         if every and (t % every == 0 or t == steps):
-            on_frame(each(lambda w: w).reshape(state.shape))
+            on_frame(each(np.copy).reshape(state.shape))
+    final = each(lambda w: w) if steps else batch
     return RunResult(
-        each(lambda w: w).reshape(state.shape) if steps else state.copy(),
+        final.reshape(state.shape),
         means.reshape(steps, *lead),
         maxes.reshape(steps, *lead),
     )

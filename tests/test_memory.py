@@ -3,8 +3,9 @@
 `step` convolves one chunk of whole grids at a time, so beyond its result
 it holds about one chunk's spectrum and sums, however many grids the batch
 has. `seeded_patches` writes each patch into one zeroed batch, so it never
-holds a second copy of the batch. `generate_dataset` holds the batch being
-stepped and its result, not the starting batch too, and `train` holds the
+holds a second copy of the batch. `trajectory` steps its batch in place and
+retires grids by moving the live ones to its front, so `compute_metrics`,
+`evaluate_tiles` and `generate_dataset` hold one batch. `train` holds the
 pooled dataset and one batch's windows and activations, not windows for
 the whole training set.
 """
@@ -14,9 +15,12 @@ import numpy as np
 import pytest
 
 import cellevo.rules as rules
-from cellevo.config import DEFAULT_EVO_KERNEL, HaltingFitnessConfig
+from cellevo.config import (DEFAULT_EVO_KERNEL, HaltingFitnessConfig,
+                            MetricsConfig, PatternEvoConfig)
 from cellevo.grid import seeded_patches
 from cellevo.halting import generate_dataset, genome_to_rule
+from cellevo.metrics import compute_metrics
+from cellevo.patterns import evaluate_tiles
 from cellevo.predictor import train
 from cellevo.rules import load_preset, step
 
@@ -81,3 +85,40 @@ def test_generate_dataset_holds_two_batches():
     # through the run as well made it 3.
     slope = (peaks[1] - peaks[0]) / ((128 - 64) * 64 * 64 * 8)
     assert slope <= 2.5, slope
+
+
+def batch_slope(run, counts, grid_bytes):
+    """k: the growth of `run(count)`'s traced peak per byte of batch."""
+    run(2)  # warm the caches
+    peaks = [traced_peak(lambda: run(count))[1] for count in counts]
+    return (peaks[1] - peaks[0]) / ((counts[1] - counts[0]) * grid_bytes)
+
+
+def test_compute_metrics_holds_one_batch():
+    def run(count):
+        cfg = MetricsConfig(n_grids=count, window=2, rule=load_preset("s613"))
+        return compute_metrics(cfg, 0)
+    # Stepping into a new result beside the batch made it 2.
+    slope = batch_slope(run, (32, 64), 128 * 128 * 8)
+    assert slope <= 1.3, slope
+
+
+def test_evaluate_tiles_holds_one_batch():
+    cfg = PatternEvoConfig(steps=8, stride=4)
+    rng = np.random.default_rng(0)
+    tiles = rng.random((32, cfg.resolved_tile_side, cfg.resolved_tile_side))
+    # Stepping into a new result beside the batch made it 2.
+    slope = batch_slope(lambda count: evaluate_tiles(tiles[:count], cfg), (16, 32),
+                        cfg.grid_side ** 2 * 8)
+    assert slope <= 1.3, slope
+
+
+def test_generate_dataset_holds_one_batch():
+    rule = genome_to_rule(np.zeros(4), DEFAULT_EVO_KERNEL, 0.1)
+
+    def run(count):
+        return generate_dataset(rule, HaltingFitnessConfig(n_grids=count, horizon=4), 0)
+    # The stepped batch held while the dataset's grids were drawn again, or a
+    # new result beside the batch at each step, made it 2.
+    slope = batch_slope(run, (64, 128), 64 * 64 * 8)
+    assert slope <= 1.3, slope

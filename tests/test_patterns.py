@@ -55,7 +55,7 @@ def shift_right(monkeypatch):
     `trajectory` looks `step` up in `cellevo.rules`, so that is the name
     patched. A full 0.7 tile never reaches zero, so retirement cannot fire.
     """
-    monkeypatch.setattr(rules, "step", lambda s, rule: np.roll(s, 1, axis=-1))
+    monkeypatch.setattr(rules, "step", lambda s, rule, out=None: np.roll(s, 1, axis=-1))
 
 
 def pack(w1, b1, w2, b2, w3, b3, acts):

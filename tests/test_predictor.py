@@ -209,18 +209,6 @@ class TestBitwiseFastPaths:
                                    batch_size=batch_size)
         assert got.params.tobytes() == expected.tobytes()
 
-    def test_loss_and_grads_accepts_gathered_windows(self):
-        rng = np.random.default_rng(41)
-        w = init_weights(rng)
-        grids = rng.random((12, 32, 32))
-        y = rng.integers(0, 2, 5).astype(float)
-        rows = np.array([7, 2, 11, 2, 0])
-        cols = predictor._im2col(grids[..., None])
-        assert cols.shape == (12, 30, 30, 9)
-        loss_a, g_a = loss_and_grads(w, cols[rows], y)
-        loss_b, g_b = loss_and_grads(w, grids[rows], y)
-        assert loss_a == loss_b and g_a.tobytes() == g_b.tobytes()
-
     @pytest.mark.parametrize("chunk", [2, 4, 5, 16])
     def test_predict_batch_in_chunks_equals_whole_batch(self, chunk):
         # `train` validates in chunks. No chunk here is a single grid: a
@@ -236,7 +224,7 @@ class TestBitwiseFastPaths:
     @pytest.mark.parametrize("shape", [(4, 32, 32, 1), (4, 64, 64), (4, 30, 30, 8), (32, 32)])
     def test_loss_and_grads_rejects_other_shapes(self, shape):
         w = init_weights(np.random.default_rng(44))
-        with pytest.raises(ValueError, match=r"\(B, 32, 32\) or conv1 windows"):
+        with pytest.raises(ValueError, match=r"expected grids \(B, 32, 32\), got"):
             loss_and_grads(w, np.zeros(shape), np.zeros(4))
 
     @pytest.mark.parametrize("batch", [1, 5, 16])

@@ -533,6 +533,46 @@ class TestBlockedStep:
                 assert not np.shares_memory(out, state)
 
 
+class TestStepOut:
+    """`step(state, rule, out)` writes into `out`, which may be `state`."""
+
+    SHAPES = {"one_grid": (64, 64), "one_chunk": (4, 64, 64),
+              "multi_chunk": (40, 64, 64), "grid_larger_than_a_chunk": (3, 264, 264)}
+
+    @pytest.mark.parametrize("shape", list(SHAPES.values()), ids=list(SHAPES))
+    @pytest.mark.parametrize("name", ["Orbium", "s613"])
+    def test_in_place_equals_new_result_bitwise(self, name, shape):
+        rule = load_preset(name)
+        state = np.random.default_rng(21).random(shape)
+        expected = step(state, rule)
+        other = np.empty(shape)
+        assert step(state, rule, other) is other
+        assert other.tobytes() == expected.tobytes()
+        assert step(state, rule, state) is state
+        assert state.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", ["Orbium", "s613"])
+    def test_noncontiguous_input_without_out(self, name):
+        rule = load_preset(name)
+        state = noncontiguous_batch(np.random.default_rng(22))
+        work = np.ascontiguousarray(state)
+        got = step(state, rule)
+        assert got.tobytes() == step(work, rule, work).tobytes()
+
+    @pytest.mark.parametrize("make_out", [
+        lambda buf: np.empty((3, 64, 64)),  # wrong shape
+        lambda buf: np.empty((4, 64, 128))[..., ::2],  # not contiguous
+        lambda buf: np.empty((4, 64, 64), dtype=np.float32),
+        lambda buf: buf[1:],  # overlaps the state one grid on
+    ], ids=["shape", "noncontiguous", "float32", "overlap"])
+    def test_refuses_a_bad_out(self, make_out):
+        buf = np.random.default_rng(24).random((5, 64, 64))
+        state, before = buf[:4], buf.copy()
+        with pytest.raises(ValueError, match="out"):
+            step(state, load_preset("Orbium"), make_out(buf))
+        assert buf.tobytes() == before.tobytes()
+
+
 def run_frames(*args, **kwargs):
     """The frames `run` hands to its `on_frame` consumer, in order."""
     frames = []
@@ -640,6 +680,19 @@ class TestRun:
             assert np.array_equal(frame, states[t])
         assert run_frames(state, rule, 7) == []
 
+    @pytest.mark.parametrize("name", ["Orbium", "s613"])
+    def test_kept_frames_match_plain_loop(self, name):
+        # Every frame is kept: none may be overwritten by a later step.
+        state = np.random.default_rng(25).random((3, 64, 64))
+        rule = load_preset(name)
+        frames = run_frames(state, rule, 5, every=1)
+        expected = [state]
+        for _ in range(5):
+            expected.append(step(expected[-1], rule))
+        assert len(frames) == 6
+        for frame, want in zip(frames, expected):
+            assert frame.tobytes() == want.tobytes()
+
     def test_retired_frames_read_zero(self):
         frames = run_frames(np.full((30, 30), 0.45), always_decay_rule(dt=0.1),
                             9, every=2)
@@ -674,7 +727,7 @@ class TestTrajectory:
     def test_retires_dead_slices_and_stops_advancing(self, monkeypatch):
         calls = []
 
-        def halve_then_kill(s, rule):
+        def halve_then_kill(s, rule, out=None):
             calls.append(s.shape[0])
             return np.where(len(calls) >= 2, 0.0, s * 0.5)
 
@@ -692,7 +745,7 @@ class TestTrajectory:
     def test_keeps_every_slice_without_retire(self, monkeypatch):
         calls = []
 
-        def identity(s, rule):
+        def identity(s, rule, out=None):
             calls.append(s.shape[0])
             return s
 
